@@ -408,16 +408,23 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
         status = Status::kNotFound;
         return;
       }
-      if (std::size_t(off) + len > it->second.bytes.size())
+      std::span<const std::uint8_t> block(it->second.bytes);
+      if (std::size_t(off) + len > block.size())
         throw std::runtime_error("range out of bounds");
-      std::uint32_t actual = crc_of(it->second.bytes);
+      // One pass over the block: the range's own CRC goes on the wire, and
+      // joined with the prefix and suffix CRCs it checks every stored byte.
+      std::span<const std::uint8_t> range = block.subspan(off, len);
+      std::span<const std::uint8_t> suffix = block.subspan(off + len);
+      std::uint32_t range_crc = crc_of(range);
+      std::uint32_t actual = util::crc32_combine(
+          util::crc32_combine(crc_of(block.first(off)), range_crc, len),
+          crc_of(suffix), suffix.size());
       if (actual != it->second.crc) {
         status = Status::kCorrupt;
         resp.u32(actual);
         return;
       }
-      std::span<const std::uint8_t> range{it->second.bytes.data() + off, len};
-      resp.u32(crc_of(range));
+      resp.u32(range_crc);
       resp.bytes(range);
       return;
     }

@@ -18,7 +18,7 @@ namespace {
 // connection.
 struct WireCorruption {};
 
-std::uint32_t read_le32(const std::vector<std::uint8_t>& b) {
+std::uint32_t read_le32(const std::uint8_t* b) {
   return static_cast<std::uint32_t>(b[0]) |
          (static_cast<std::uint32_t>(b[1]) << 8) |
          (static_cast<std::uint32_t>(b[2]) << 16) |
@@ -111,7 +111,9 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
                           " attempts; last: " + last_failure);
     try {
       ensure_connected(deadline);
-      auto [status, body] = call_once(op, payload);
+      std::uint32_t declared = 0;
+      auto [status, body] =
+          call_once(op, payload, opts.checksummed ? &declared : nullptr);
       if (status == Status::kError)
         throw ServerError("server error: " +
                           std::string(body.begin(), body.end()));
@@ -131,16 +133,11 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
           throw CorruptBlockError("block failed its checksum at rest");
         }
       }
-      if (opts.checksummed && status == Status::kOk) {
-        if (body.size() < 4)
-          throw ProtocolError("response missing its checksum");
-        std::uint32_t declared = read_le32(body);
-        body.erase(body.begin(), body.begin() + 4);
-        if (util::crc32(body) != declared) {
-          counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
-          wire_corruptions_total_->inc();
-          throw WireCorruption{};
-        }
+      if (opts.checksummed && status == Status::kOk &&
+          util::crc32(body) != declared) {
+        counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
+        wire_corruptions_total_->inc();
+        throw WireCorruption{};
       }
       return {status, std::move(body)};
     } catch (const TimeoutError& e) {
@@ -172,7 +169,7 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
 }
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
-    Op op, const std::vector<std::uint8_t>& payload) {
+    Op op, const std::vector<std::uint8_t>& payload, std::uint32_t* crc) {
   std::uint8_t op_raw = static_cast<std::uint8_t>(op);
   std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   conn_.send_all(&op_raw, 1);
@@ -190,6 +187,20 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
   if (rlen > kMaxFrameBytes) throw ProtocolError("malformed response length");
   std::optional<Status> status = parse_status(status_raw);
   if (!status) throw ProtocolError("unknown response status");
+  if (crc && *status == Status::kOk) {
+    // The frame leads with the payload's CRC: take it apart so the payload
+    // lands in `body` as it is.  A frame too short to hold it is drained
+    // first, so the connection stays in sync.
+    std::uint8_t word[4] = {};
+    if (rlen < 4) {
+      if (rlen && !conn_.recv_all(word, rlen))
+        throw TransportError("truncated response");
+      throw ProtocolError("response missing its checksum");
+    }
+    if (!conn_.recv_all(word, 4)) throw TransportError("truncated response");
+    *crc = read_le32(word);
+    rlen -= 4;
+  }
   std::vector<std::uint8_t> body(rlen);
   if (rlen && !conn_.recv_all(body.data(), rlen))
     throw TransportError("truncated response");
@@ -269,7 +280,7 @@ BlockHealth Client::verify(const BlockKey& key, std::uint32_t* crc_out) {
   w.key(key);
   auto [status, body] = call(Op::kVerify, w.data(), {.corrupt_returns = true});
   if (status == Status::kNotFound) return BlockHealth::kMissing;
-  if (crc_out && body.size() >= 4) *crc_out = read_le32(body);
+  if (crc_out && body.size() >= 4) *crc_out = read_le32(body.data());
   return status == Status::kCorrupt ? BlockHealth::kCorrupt : BlockHealth::kOk;
 }
 

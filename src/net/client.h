@@ -141,8 +141,10 @@ class Client {
       Op op, const std::vector<std::uint8_t>& payload) {
     return call(op, payload, CallOpts{});
   }
+  /// One request/response exchange.  With `crc` set, a kOk response is
+  /// checksummed: its leading u32 goes to *crc and the rest to the body.
   std::pair<Status, std::vector<std::uint8_t>> call_once(
-      Op op, const std::vector<std::uint8_t>& payload);
+      Op op, const std::vector<std::uint8_t>& payload, std::uint32_t* crc);
   /// Opens the connection if needed.  The connect attempt is bounded by the
   /// per-attempt io_timeout AND the remaining op deadline, whichever is
   /// tighter; throws DeadlineError when the deadline is already spent.

@@ -16,6 +16,11 @@ namespace carousel::util {
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0);
 
+/// CRC of A followed by B, given crc1 = crc32(A), crc2 = crc32(B) and
+/// len2 = |B|, without touching the bytes (zlib's x^(8n) mod P method).
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::size_t len2);
+
 }  // namespace carousel::util
 
 #endif  // CAROUSEL_UTIL_CRC32_H

@@ -456,6 +456,16 @@ RetryPolicy fast_policy() {
   return p;
 }
 
+// StoreOptions with its fields assigned by name, so options added later
+// keep their defaults.
+StoreOptions store_options(RetryPolicy policy,
+                           obs::MetricsRegistry* registry = nullptr) {
+  StoreOptions o;
+  o.policy = policy;
+  o.registry = registry;
+  return o;
+}
+
 TEST(Checksum, VerifyAuditsWithoutTransfer) {
   BlockServer server;
   Client client(server.port(), fast_policy());
@@ -472,21 +482,39 @@ TEST(Checksum, VerifyAuditsWithoutTransfer) {
 }
 
 TEST(Checksum, AtRestCorruptionSurfacesAsCorruptBlockError) {
+  // A range read verifies every stored byte, not only the range it returns:
+  // a byte flipped before, inside or after [400, 600) must all surface.
+  struct Case {
+    const char* where;
+    std::size_t flipped;
+  };
+  const Case cases[] = {{"before", 100}, {"inside", 500}, {"after", 900}};
   BlockServer server;
   Client client(server.port(), fast_policy());
   BlockKey key{2, 0, 0};
   auto data = random_bytes(1024, 32);
-  client.put(key, data);
-  ASSERT_TRUE(server.corrupt_block(key, 100));
-  EXPECT_EQ(client.verify(key), BlockHealth::kCorrupt);
-  EXPECT_THROW(client.get(key), CorruptBlockError);
-  EXPECT_THROW(client.get_range(key, 0, 10), CorruptBlockError);
-  EXPECT_THROW(client.project(key, 256, {{{0, 1}}}), CorruptBlockError);
-  EXPECT_GE(client.counters().corrupt_blocks, 3u);
-  // A fresh PUT heals the block.
-  client.put(key, data);
-  EXPECT_EQ(client.verify(key), BlockHealth::kOk);
-  EXPECT_EQ(*client.get(key), data);
+  auto slice = [&](std::size_t off, std::size_t len) {
+    return std::vector<std::uint8_t>(data.begin() + off,
+                                     data.begin() + off + len);
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.where);
+    client.put(key, data);
+    ASSERT_TRUE(server.corrupt_block(key, c.flipped));
+    EXPECT_EQ(client.verify(key), BlockHealth::kCorrupt);
+    EXPECT_THROW(client.get(key), CorruptBlockError);
+    EXPECT_THROW(client.get_range(key, 400, 200), CorruptBlockError);
+    EXPECT_THROW(client.project(key, 256, {{{0, 1}}}), CorruptBlockError);
+    // A fresh PUT heals the block; ranges with an empty prefix or suffix
+    // verify too.
+    client.put(key, data);
+    EXPECT_EQ(client.verify(key), BlockHealth::kOk);
+    EXPECT_EQ(*client.get(key), data);
+    EXPECT_EQ(*client.get_range(key, 400, 200), slice(400, 200));
+    EXPECT_EQ(*client.get_range(key, 0, 10), slice(0, 10));
+    EXPECT_EQ(*client.get_range(key, 1000, 24), slice(1000, 24));
+  }
+  EXPECT_GE(client.counters().corrupt_blocks, 9u);
 }
 
 TEST(FaultInjection, RefusalIsServerErrorNotRetried) {
@@ -617,6 +645,41 @@ TEST(ClientErrors, ProtocolViolationsAreNotBlindlyRetried) {
   EXPECT_EQ(requests.load(), 1);  // no blind retry of a protocol violation
 }
 
+TEST(ClientErrors, ShortChecksummedResponseKeepsTheConnectionInSync) {
+  // A fake server answers a GET with kOk and a 2-byte body — too short to
+  // hold the CRC word — then answers the next request properly.  The client
+  // must raise ProtocolError once and drain the frame, so the next call on
+  // the same (only) connection reads its own response.
+  TcpListener listener = TcpListener::bind(0);
+  std::atomic<int> requests{0};
+  std::thread fake([&] {
+    TcpConn c = listener.accept();
+    for (;;) {
+      std::uint8_t op;
+      if (!c.recv_all(&op, 1)) return;
+      std::uint32_t len;
+      if (!c.recv_all(&len, 4)) return;
+      std::vector<std::uint8_t> payload(len);
+      if (len && !c.recv_all(payload.data(), len)) return;
+      const std::uint8_t status = 0;  // kOk
+      const std::uint8_t body[2] = {0xAB, 0xCD};
+      const std::uint32_t rlen = ++requests == 1 ? 2 : 0;
+      c.send_all(&status, 1);
+      c.send_all(&rlen, 4);
+      if (rlen) c.send_all(body, rlen);
+    }
+  });
+  {
+    Client client(listener.port(), fast_policy());
+    EXPECT_THROW(client.get(BlockKey{1, 0, 0}), ProtocolError);
+    EXPECT_NO_THROW(client.ping());
+    EXPECT_EQ(client.counters().reconnects, 0u);
+  }
+  listener.close();
+  fake.join();
+  EXPECT_EQ(requests.load(), 2);
+}
+
 TEST(BlockServerTest, ReapsFinishedConnections) {
   BlockServer server;
   for (int i = 0; i < 24; ++i) {
@@ -636,7 +699,7 @@ TEST(BlockServerTest, ReapsFinishedConnections) {
 TEST_F(StoreTest, ReadFailsOverWhenServerKilledMidRead) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 128;
-  StoreOptions opts{fast_policy()};
+  StoreOptions opts = store_options(fast_policy());
   CarouselStore store(code, ports_, block, opts);
   auto file = random_bytes(2 * code.k() * block, 41);  // two stripes
   store.put_file(21, file);
@@ -652,7 +715,7 @@ TEST_F(StoreTest, ReadFailsOverWhenServerKilledMidRead) {
 TEST_F(StoreTest, ReadFailsOverOnAtRestCorruption) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 128;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file = random_bytes(code.k() * block, 42);
   store.put_file(23, file);
   // Flip a byte of block 1 behind the checksum: the degraded read must treat
@@ -666,7 +729,7 @@ TEST_F(StoreTest, ReadFailsOverOnAtRestCorruption) {
 TEST_F(StoreTest, RepairDegradesWhenHelperDiesMidRepair) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file = random_bytes(code.k() * block, 43);
   store.put_file(25, file);
   ASSERT_TRUE(store.drop_block(25, 0, 4));
@@ -724,7 +787,7 @@ TEST(Checksum, CorruptBlockWrapsOffsetAndRefusesEmptyBlocks) {
 TEST_F(StoreTest, ScrubberDetectsAndRepairsCorruption) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file = random_bytes(code.k() * block, 44);
   store.put_file(27, file);
 
@@ -748,7 +811,7 @@ TEST_F(StoreTest, ScrubberDetectsAndRepairsCorruption) {
 TEST_F(StoreTest, BackgroundScrubberHealsWhileRunning) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 64;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file = random_bytes(code.k() * block, 45);
   store.put_file(29, file);
   ASSERT_TRUE(store.drop_block(29, 0, 6));
@@ -771,7 +834,7 @@ TEST_F(StoreTest, ScrubberRecordsSweepDuration) {
   codes::Carousel code(12, 6, 10, 12);
   obs::MetricsRegistry reg;
   CarouselStore store(code, ports_, code.s() * 64,
-                      StoreOptions{fast_policy(), &reg});
+                      store_options(fast_policy(), &reg));
   auto file = random_bytes(code.k() * code.s() * 64, 47);
   store.put_file(33, file);
 
@@ -786,7 +849,7 @@ TEST_F(StoreTest, ScrubberRecordsSweepDuration) {
 TEST_F(StoreTest, ScrubberRetriesUnreachableServerAfterItReturns) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 128;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file = random_bytes(code.k() * block, 48);
   store.put_file(35, file);
 
@@ -824,7 +887,8 @@ TEST_F(StoreTest, KilledServerPlusCorruptBlockReadAndScrubRoundTrip) {
   // A private registry isolates this store's telemetry from every other
   // client in the binary, so the assertions below are exact.
   obs::MetricsRegistry reg;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
+  CarouselStore store(code, ports_, block,
+                      store_options(fast_policy(), &reg));
   auto file = random_bytes(code.k() * block, 46);
   store.put_file(31, file);
 
@@ -907,7 +971,8 @@ TEST_F(StoreTest, RepairTrafficCounterMatchesOptimalRatio) {
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 512;
   obs::MetricsRegistry reg;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy(), &reg});
+  CarouselStore store(code, ports_, block,
+                      store_options(fast_policy(), &reg));
   auto file = random_bytes(code.k() * block, 51);
   store.put_file(33, file);
   ASSERT_TRUE(store.drop_block(33, 0, 5));
@@ -932,7 +997,7 @@ TEST_F(StoreTest, StalledServerCountsTimeoutsInRegistry) {
   obs::MetricsRegistry reg;
   RetryPolicy policy = fast_policy();
   policy.io_timeout = std::chrono::milliseconds(60);
-  CarouselStore store(code, ports_, block, StoreOptions{policy, &reg});
+  CarouselStore store(code, ports_, block, store_options(policy, &reg));
   auto file = random_bytes(code.k() * block, 52);
   store.put_file(35, file);
 
@@ -1051,7 +1116,7 @@ TEST_F(StoreTest, ConcurrentReadsOverlapInWallClock) {
   // tools/verify.sh, which also proves the fan-out is data-race-free.
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 64;
-  CarouselStore store(code, ports_, block, StoreOptions{fast_policy()});
+  CarouselStore store(code, ports_, block, store_options(fast_policy()));
   auto file_a = random_bytes(code.k() * block, 71);
   auto file_b = random_bytes(code.k() * block, 72);
   store.put_file(51, file_a);

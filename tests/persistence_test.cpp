@@ -407,7 +407,10 @@ TEST_F(PersistenceTest, KillAndRestartWithTornWriteHealsAtOptimalTraffic) {
     ports.push_back(servers.back()->port());
   }
   obs::MetricsRegistry reg;
-  CarouselStore store(code, ports, block, StoreOptions{fast_policy(), &reg});
+  StoreOptions opts;
+  opts.policy = fast_policy();
+  opts.registry = &reg;
+  CarouselStore store(code, ports, block, opts);
   auto file = random_bytes(2 * code.k() * block, 77);  // two stripes
   ASSERT_EQ(store.put_file(5, file), 2u);
 

@@ -5,7 +5,8 @@
 #      >=10k mutated frames against a live server);
 #   2. static analysis — tools/lint.sh (clang-tidy when installed, plus the
 #      repo-specific invariant lints in tools/check_invariants.py);
-#   3. the networked fault-tolerance, observability, protocol-hardening,
+#   3. the CRC-32 kernel sweep (16-byte loads near buffer ends), then the
+#      networked fault-tolerance, observability, protocol-hardening,
 #      crash-persistence, metadata-journal and self-healing-cluster tests
 #      again under AddressSanitizer (abrupt server death, connection churn,
 #      malformed frames, torn-write recovery, re-homing races — where
@@ -40,7 +41,10 @@
 #      diverges from the pre-crash manifest, misses its wall-clock budget,
 #      fails to load the compacted snapshot, or misses a torn tail (and
 #      writes BENCH_meta_recovery.json);
-#  10. when clang++ is installed: the whole tree rebuilt with Clang Thread
+#  10. the networked-throughput bench (upload, read, degraded read, repair
+#      on a 12-server loopback fleet), as CI's bench-smoke job runs it: it
+#      must run to completion;
+#  11. when clang++ is installed: the whole tree rebuilt with Clang Thread
 #      Safety Analysis promoted to errors (CAROUSEL_THREAD_SAFETY=ON),
 #      verifying every GUARDED_BY/REQUIRES/EXCLUDES annotation from
 #      util/sync.h statically, plus the sync_test lock-rank suite under the
@@ -58,9 +62,10 @@ ctest --test-dir build --output-on-failure -j 8
 sh tools/lint.sh build
 
 cmake -B build-asan -S . -DCAROUSEL_SANITIZE=address
-cmake --build build-asan -j --target net_test obs_test protocol_test \
-  protocol_fuzz_test persistence_test meta_log_test cluster_test \
-  repair_scheduler_test property_test
+cmake --build build-asan -j --target util_test net_test obs_test \
+  protocol_test protocol_fuzz_test persistence_test meta_log_test \
+  cluster_test repair_scheduler_test property_test
+./build-asan/tests/util_test
 ./build-asan/tests/net_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/protocol_test
@@ -106,6 +111,9 @@ cmake --build build -j --target bench_meta_recovery
   CAROUSEL_META_FILES=100 CAROUSEL_META_MUTATIONS=1000 \
   CAROUSEL_META_BUDGET_S=10 ./bench_meta_recovery)
 
+cmake --build build -j --target bench_net_throughput
+(cd build/bench && ./bench_net_throughput)
+
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
     -DCAROUSEL_THREAD_SAFETY=ON -DCAROUSEL_WERROR=ON
@@ -118,5 +126,6 @@ fi
 
 echo "verify: OK (suite + lint + ASan/TSan suites incl. rack-down chaos" \
      "+ full suite under UBSan + bounded chaos smoke + recovery-storm," \
-     "rack-down, tail-latency and meta-recovery bench smokes +" \
+     "rack-down, tail-latency, meta-recovery and net-throughput bench" \
+     "smokes +" \
      "thread-safety analysis when clang++ is present)"
