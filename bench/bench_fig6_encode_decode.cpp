@@ -123,8 +123,6 @@ int main() {
   for (const auto& m : rows) below += m.car_k.decode_mbs < m.rs.decode_mbs;
   std::printf("  Carousel decode below systematic decode (paper Fig.6b):"
               " %d/%zu points\n", below, rows.size());
-  std::string snap = carousel::bench::write_metrics_snapshot("fig6");
-  if (!snap.empty())
-    std::printf("  metrics snapshot: %s\n", snap.c_str());
+  carousel::bench::write_metrics_snapshot("fig6");
   return 0;
 }

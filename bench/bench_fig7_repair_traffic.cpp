@@ -89,8 +89,6 @@ int main() {
               all_optimal ? "yes" : "NO");
   std::printf("  Carousel repair traffic identical to its base code at "
               "every k (paper: curves coincide).\n");
-  std::string snap = carousel::bench::write_metrics_snapshot("fig7");
-  if (!snap.empty())
-    std::printf("  metrics snapshot: %s\n", snap.c_str());
+  carousel::bench::write_metrics_snapshot("fig7");
   return 0;
 }

@@ -162,21 +162,6 @@ std::string result_json(const BenchConfig& cfg,
   return out;
 }
 
-bool write_snapshot(const char* name, const std::string& json) {
-  std::string path = name;
-  if (const char* dir = std::getenv("CAROUSEL_BENCH_SNAPSHOT_DIR"))
-    path = std::string(dir) + "/" + path;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "could not write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -268,7 +253,8 @@ int main() {
     rc = 1;
   }
 
-  if (!write_snapshot("BENCH_meta_recovery.json", result_json(cfg, results)))
+  if (bench::write_json("BENCH_meta_recovery.json", result_json(cfg, results))
+          .empty())
     rc = 1;
 
   fs::remove_all(root);

@@ -534,23 +534,6 @@ std::string rack_down_json(const StormConfig& cfg, const RackDownResult& r,
   return out;
 }
 
-/// Writes `json` to `name`, honoring $CAROUSEL_BENCH_SNAPSHOT_DIR.  Returns
-/// false (after a stderr note) when the file cannot be opened.
-bool write_snapshot(const char* name, const std::string& json) {
-  std::string path = name;
-  if (const char* dir = std::getenv("CAROUSEL_BENCH_SNAPSHOT_DIR"))
-    path = std::string(dir) + "/" + path;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "could not write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -621,11 +604,13 @@ int main() {
 
   // Same shape as bench_util's write_metrics_snapshot, but with the storm
   // results wrapped around the registry snapshot.
-  if (!write_snapshot("BENCH_recovery_storm.json",
-                      json_escape_free_output(cfg, live, sims, block)))
+  if (bench::write_json("BENCH_recovery_storm.json",
+                        json_escape_free_output(cfg, live, sims, block))
+          .empty())
     return 1;
-  if (!write_snapshot("BENCH_rack_down.json",
-                      rack_down_json(cfg, rack, block)))
+  if (bench::write_json("BENCH_rack_down.json",
+                        rack_down_json(cfg, rack, block))
+          .empty())
     return 1;
 
   int rc = 0;

@@ -343,18 +343,10 @@ int main() {
               live.unhedged.tail.p99 * 1000,
               static_cast<unsigned long long>(live.hedged.wins));
 
-  std::string path = "BENCH_tail_latency.json";
-  if (const char* dir = std::getenv("CAROUSEL_BENCH_SNAPSHOT_DIR"))
-    path = std::string(dir) + "/" + path;
-  const std::string json = live_json(live, stripes, reads, p50, p99, gate_ok);
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", path.c_str());
+  if (bench::write_json("BENCH_tail_latency.json",
+                        live_json(live, stripes, reads, p50, p99, gate_ok))
+          .empty())
     return 1;
-  }
 
   if (!gate_ok) {
     std::fprintf(stderr,

@@ -58,22 +58,37 @@ inline double time_best_s(const std::function<void()>& fn, int reps = 3) {
 
 inline constexpr double kMiB = 1024.0 * 1024.0;
 
-/// Writes a machine-readable JSON snapshot of the global metrics registry
-/// (codec timings/bytes, GF kernel dispatch counts, thread-pool stats, ...)
-/// to BENCH_<name>.json in the working directory, or to
-/// $CAROUSEL_BENCH_SNAPSHOT_DIR/BENCH_<name>.json when that is set.
-/// Call at the end of a benchmark's main(); tooling diffs these files across
-/// runs.  Returns the path written, empty on I/O failure.
-inline std::string write_metrics_snapshot(const std::string& name) {
-  std::string path = "BENCH_" + name + ".json";
+/// The one writer of every bench JSON artifact: writes `json` to `name` in
+/// the working directory, or to $CAROUSEL_BENCH_SNAPSHOT_DIR/<name> when
+/// that is set, and reports the path on stdout.  Returns the path written;
+/// empty (after a note on stderr) when the file cannot be written.
+inline std::string write_json(const std::string& name,
+                              const std::string& json) {
+  std::string path = name;
   if (const char* dir = std::getenv("CAROUSEL_BENCH_SNAPSHOT_DIR"))
     path = std::string(dir) + "/" + path;
-  std::string json = obs::MetricsRegistry::global().render_json();
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return {};
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "could not write %s\n", path.c_str());
+    return {};
+  }
+  std::printf("\nwrote %s\n", path.c_str());
   return path;
+}
+
+/// Writes a machine-readable JSON snapshot of the global metrics registry
+/// (codec timings/bytes, GF kernel dispatch counts, thread-pool stats, ...)
+/// to BENCH_<name>.json via write_json().  Call at the end of a benchmark's
+/// main(); tooling diffs these files across runs.  Returns the path
+/// written, empty on I/O failure.
+inline std::string write_metrics_snapshot(const std::string& name) {
+  return write_json("BENCH_" + name + ".json",
+                    obs::MetricsRegistry::global().render_json());
 }
 
 }  // namespace carousel::bench

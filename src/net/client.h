@@ -106,6 +106,15 @@ class Client {
     std::uint64_t timeouts = 0;          // socket timeouts observed
     std::uint64_t wire_corruptions = 0;  // checksum mismatches in flight
     std::uint64_t corrupt_blocks = 0;    // Status::kCorrupt answers
+
+    Counters& operator+=(const Counters& o) {
+      retries += o.retries;
+      reconnects += o.reconnects;
+      timeouts += o.timeouts;
+      wire_corruptions += o.wire_corruptions;
+      corrupt_blocks += o.corrupt_blocks;
+      return *this;
+    }
   };
   /// Consistent-enough snapshot: each field is read atomically, so another
   /// thread may observe counts mid-operation but never torn values.

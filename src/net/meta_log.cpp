@@ -4,12 +4,11 @@
 #include <unistd.h>
 
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
+#include "net/durable_io.h"
 #include "net/errors.h"
 #include "net/protocol.h"
 #include "util/crc32.h"
@@ -63,47 +62,6 @@ const char* kind_name(std::uint8_t kind) {
     case kRecHedge: return "hedge";
     default: return "unknown";
   }
-}
-
-[[noreturn]] void throw_errno(const char* what, const fs::path& p) {
-  throw std::system_error(errno, std::generic_category(),
-                          std::string(what) + " " + p.string());
-}
-
-/// Whole-file read; nullopt when the file cannot be opened.
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& p) {
-  int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (r == 0) break;
-    out.insert(out.end(), buf, buf + r);
-  }
-  ::close(fd);
-  return out;
-}
-
-void write_whole_file(const fs::path& path,
-                      std::span<const std::uint8_t> bytes) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,  // NOLINT(cppcoreguidelines-pro-type-vararg)
-                  0644);
-  if (fd < 0) throw_errno("open", path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      ::close(fd);
-      throw_errno("write", path);
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  if (::close(fd) != 0) throw_errno("close", path);
 }
 
 std::vector<std::uint8_t> serialize_record(std::uint8_t kind,
@@ -333,12 +291,13 @@ void MetaLog::open_journal(bool truncate) {
   const int flags =
       O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC | (truncate ? O_TRUNC : 0);
   journal_fd_ = ::open(p.c_str(), flags, 0644);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (journal_fd_ < 0) throw_errno("open journal", p);
+  if (journal_fd_ < 0) durable::throw_errno("open journal", p);
 }
 
 void MetaLog::flush_journal() {
   if (!options_.fsync) return;
-  if (::fsync(journal_fd_) != 0) throw_errno("fsync journal", dir_ / "journal");
+  if (::fsync(journal_fd_) != 0)
+    durable::throw_errno("fsync journal", dir_ / "journal");
   fsyncs_->inc();
 }
 
@@ -348,7 +307,7 @@ void MetaLog::quarantine_bytes(const std::string& name,
   fs::path dst = quarantine_dir() / name;
   for (int i = 1; fs::exists(dst); ++i)
     dst = quarantine_dir() / (name + "." + std::to_string(i));
-  write_whole_file(dst, bytes);
+  durable::write_file(dst, bytes);
 }
 
 void MetaLog::quarantine_file(const fs::path& path) {
@@ -360,14 +319,7 @@ void MetaLog::quarantine_file(const fs::path& path) {
   // Moved, never deleted: a corrupt snapshot is evidence.  The bytes are on
   // stable storage already (we only move what a previous open published),
   // so a plain fsync-then-rename keeps rule 4's order.
-  if (options_.fsync) {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-      fsyncs_->inc();
-    }
-  }
+  if (options_.fsync) durable::flush_file(path, *fsyncs_);
   std::error_code ec;
   fs::rename(path, dst, ec);
   if (ec) throw fs::filesystem_error("rename", path, dst, ec);
@@ -376,7 +328,7 @@ void MetaLog::quarantine_file(const fs::path& path) {
 void MetaLog::load_snapshot(std::uint32_t config_crc) {
   const fs::path snap_p = dir_ / "snapshot";
   if (!fs::exists(snap_p)) return;
-  auto bytes = read_file(snap_p);
+  auto bytes = durable::read_file(snap_p);
   const std::optional<ParsedSnapshot> snap =
       bytes ? parse_snapshot(*bytes) : std::nullopt;
   if (!snap) {
@@ -401,7 +353,7 @@ void MetaLog::replay(std::uint32_t config_crc) {
   load_snapshot(config_crc);
 
   const fs::path journal_p = dir_ / "journal";
-  auto bytes = read_file(journal_p);
+  auto bytes = durable::read_file(journal_p);
   if (bytes) {
     std::size_t pos = 0;
     while (pos < bytes->size()) {
@@ -416,7 +368,7 @@ void MetaLog::replay(std::uint32_t config_crc) {
                          {bytes->begin() + static_cast<std::ptrdiff_t>(pos),
                           bytes->end()});
         if (::truncate(journal_p.c_str(), static_cast<off_t>(pos)) != 0)
-          throw_errno("truncate journal", journal_p);
+          durable::throw_errno("truncate journal", journal_p);
         torn_tails_->inc();
         break;
       }
@@ -571,7 +523,7 @@ void MetaLog::append_record(std::uint8_t kind,
     std::size_t off = 0;
     while (off < half.size()) {
       ssize_t w = ::write(journal_fd_, half.data() + off, half.size() - off);
-      if (w < 0) throw_errno("write journal", dir_ / "journal");
+      if (w < 0) durable::throw_errno("write journal", dir_ / "journal");
       off += static_cast<std::size_t>(w);
     }
     flush_journal();
@@ -582,7 +534,7 @@ void MetaLog::append_record(std::uint8_t kind,
   std::size_t off = 0;
   while (off < bytes.size()) {
     ssize_t w = ::write(journal_fd_, bytes.data() + off, bytes.size() - off);
-    if (w < 0) throw_errno("write journal", dir_ / "journal");
+    if (w < 0) durable::throw_errno("write journal", dir_ / "journal");
     off += static_cast<std::size_t>(w);
   }
   flush_journal();
@@ -610,32 +562,19 @@ void MetaLog::write_snapshot() {
   since_snapshot_ = 0;
   const fs::path snap_p = dir_ / "snapshot";
   const fs::path tmp_p = dir_ / "snapshot.tmp";
-  write_whole_file(tmp_p, serialize_state(state_, config_crc_, lsn_));
+  durable::write_file(tmp_p, serialize_state(state_, config_crc_, lsn_));
   // The snapshot bytes must be on stable storage before the rename makes
   // them the snapshot — otherwise a crash could publish a snapshot whose
   // content never hit the platter (check_invariants.py rule 4 pins this
   // fsync-before-rename order).
-  if (options_.fsync) {
-    int fd = ::open(tmp_p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd < 0) throw_errno("open for fsync", tmp_p);
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw_errno("fsync", tmp_p);
-    }
-    ::close(fd);
-    fsyncs_->inc();
-  }
+  if (options_.fsync) durable::flush_file(tmp_p, *fsyncs_);
   std::error_code ec;
   fs::rename(tmp_p, snap_p, ec);
   if (ec) throw fs::filesystem_error("rename", tmp_p, snap_p, ec);
-  if (options_.fsync) {
-    int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-      fsyncs_->inc();
-    }
-  }
+  // The rename itself must be durable before the journal truncate below
+  // drops the records the snapshot folded in; a failed directory flush
+  // throws and leaves the journal whole.
+  if (options_.fsync) durable::flush_dir(dir_, *fsyncs_);
   snapshots_->inc();
 
   // Reset the journal: everything up to lsn_ is folded into the snapshot.
@@ -738,7 +677,7 @@ std::string MetaLog::inspect(const fs::path& dir) {
 
   const fs::path snap_p = dir / "snapshot";
   if (fs::exists(snap_p)) {
-    auto bytes = read_file(snap_p);
+    auto bytes = durable::read_file(snap_p);
     const std::optional<ParsedSnapshot> snap =
         bytes ? parse_snapshot(*bytes) : std::nullopt;
     if (snap) {
@@ -757,7 +696,7 @@ std::string MetaLog::inspect(const fs::path& dir) {
   }
 
   const fs::path journal_p = dir / "journal";
-  auto bytes = read_file(journal_p);
+  auto bytes = durable::read_file(journal_p);
   if (!bytes) {
     out << "journal: none\n";
     return out.str();

@@ -3,15 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
+#include "net/durable_io.h"
 #include "util/crc32.h"
 
 namespace carousel::net {
@@ -56,30 +55,6 @@ std::optional<MetaRecord> parse_meta(std::span<const std::uint8_t> bytes) {
   rec.payload_len = r.u64();
   rec.payload_crc = r.u32();
   return rec;
-}
-
-[[noreturn]] void throw_errno(const char* what, const fs::path& p) {
-  throw std::system_error(errno, std::generic_category(),
-                          std::string(what) + " " + p.string());
-}
-
-/// Whole-file read; nullopt when the file cannot be opened.
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& p) {
-  int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (r == 0) break;
-    out.insert(out.end(), buf, buf + r);
-  }
-  ::close(fd);
-  return out;
 }
 
 }  // namespace
@@ -138,45 +113,12 @@ PersistentBlockStore::PersistentBlockStore(fs::path dir, Options options)
   recovery_seconds_ = &reg.histogram("carousel_persist_recovery_seconds");
 }
 
-void PersistentBlockStore::write_file(
-    const fs::path& path, std::span<const std::uint8_t> bytes) const {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,  // NOLINT(cppcoreguidelines-pro-type-vararg)
-                  0644);
-  if (fd < 0) throw_errno("open", path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      ::close(fd);
-      throw_errno("write", path);
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  if (::close(fd) != 0) throw_errno("close", path);
-}
-
 void PersistentBlockStore::flush_file(const fs::path& path) const {
-  if (!options_.fsync) return;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) throw_errno("open for fsync", path);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync", path);
-  }
-  ::close(fd);
-  fsyncs_->inc();
+  if (options_.fsync) durable::flush_file(path, *fsyncs_);
 }
 
 void PersistentBlockStore::flush_dir(const fs::path& path) const {
-  if (!options_.fsync) return;
-  int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) throw_errno("open dir for fsync", path);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync dir", path);
-  }
-  ::close(fd);
-  fsyncs_->inc();
+  if (options_.fsync) durable::flush_dir(path, *fsyncs_);
 }
 
 void PersistentBlockStore::publish(const fs::path& from,
@@ -204,13 +146,13 @@ bool PersistentBlockStore::put(const BlockKey& key,
   if (crash == CrashPoint::kBeforeFsync) {
     // Power died mid-write: half the payload reached the page cache, no
     // flush, no publication.  Only a stale temp file survives.
-    write_file(blk_tmp, bytes.first(bytes.size() / 2));
+    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
     return false;
   }
   if (crash == CrashPoint::kBeforeRename) {
     // The payload is durable in the temp file but was never published; the
     // block as named never changed.  Recovery discards the temp.
-    write_file(blk_tmp, bytes);
+    durable::write_file(blk_tmp, bytes);
     flush_file(blk_tmp);
     return false;
   }
@@ -218,9 +160,9 @@ bool PersistentBlockStore::put(const BlockKey& key,
     // A truncated payload gets published together with a full-length commit
     // record — what a disk that acknowledged unwritten sectors leaves
     // behind.  Recovery must catch the length mismatch and quarantine.
-    write_file(blk_tmp, bytes.first(bytes.size() / 2));
+    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
     publish(blk_tmp, blk);
-    write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
+    durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
     publish(meta_tmp, meta);
     flush_dir(dir_);
     return false;
@@ -229,9 +171,9 @@ bool PersistentBlockStore::put(const BlockKey& key,
   // Payload first, commit record second: a crash between the two leaves an
   // orphaned payload (quarantined, not trusted), never a record that
   // promises bytes which were lost.
-  write_file(blk_tmp, bytes);
+  durable::write_file(blk_tmp, bytes);
   publish(blk_tmp, blk);
-  write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
+  durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
   publish(meta_tmp, meta);
   flush_dir(dir_);
   commits_->inc();
@@ -326,7 +268,7 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
     const fs::path blk_p = dir_ / (stem + ".blk");
     const bool have_blk = blk_stems.erase(stem) > 0;
 
-    auto meta_bytes = read_file(meta_p);
+    auto meta_bytes = durable::read_file(meta_p);
     const std::optional<MetaRecord> rec =
         meta_bytes ? parse_meta(*meta_bytes) : std::nullopt;
     if (!rec) {
@@ -346,7 +288,7 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
       quarantine(meta_p, report);
       continue;
     }
-    auto payload = read_file(blk_p);
+    auto payload = durable::read_file(blk_p);
     const bool intact = payload && payload->size() == rec->payload_len &&
                         util::crc32(*payload) == rec->payload_crc;
     if (!intact) {

@@ -139,8 +139,6 @@ class PersistentBlockStore {
   static std::optional<BlockKey> parse_stem(const std::string& stem);
 
  private:
-  void write_file(const std::filesystem::path& path,
-                  std::span<const std::uint8_t> bytes) const;
   /// fsync of the file's bytes (no-op when options_.fsync is off, but the
   /// call stays so the write path keeps its shape).
   void flush_file(const std::filesystem::path& path) const;

@@ -78,24 +78,13 @@ RepairScheduler::RepairScheduler(CarouselStore& store, Options options)
   // All healing flows through this scheduler from here on: rehome_server
   // fans into the queue, the MSR fan-in spreads over least-charged helpers,
   // and budgets charge the repair path's actual wire bytes.
-  store_.set_helper_policy(
-      [this](const std::vector<CarouselStore::HelperCandidate>& cands,
-             std::size_t want, std::size_t bytes_per_helper) {
-        return select_helpers(cands, want, bytes_per_helper);
-      });
-  store_.set_traffic_observer(
-      [this](std::size_t server, std::uint64_t eg, std::uint64_t in) {
-        observe_traffic(server, eg, in);
-      });
   store_.attach_scheduler(this);
 }
 
 RepairScheduler::~RepairScheduler() {
-  // Detach first: the setters take the store mutex, so once they return no
-  // in-flight store operation can still call back into this object.
+  // Detach first: attach_scheduler takes the store mutex, so once it
+  // returns no in-flight store operation can still call into this object.
   store_.attach_scheduler(nullptr);
-  store_.set_helper_policy(nullptr);
-  store_.set_traffic_observer(nullptr);
   stop();
 }
 

@@ -21,12 +21,12 @@
 //   window.  Before dispatch the scheduler prices the next heal from the
 //   code (d chunks of block/(d-k+1) helper egress for the MSR path, k whole
 //   blocks for the RS fallback, one block of newcomer ingress) and defers
-//   when too few healthy servers have headroom.  The scheduler also
-//   installs itself as the store's helper-selection policy, so the MSR
+//   when too few healthy servers have headroom.  The store also asks the
+//   attached scheduler which helpers to use (select_helpers), so the MSR
 //   PROJECT fan-in spreads across the least-charged healthy servers instead
 //   of always taking the first d survivors — Wu's spread-the-helper-load
-//   argument — and as the store's traffic observer, so budgets charge
-//   actual wire bytes, not estimates.
+//   argument — and reports every repair transfer to it (observe_traffic),
+//   so budgets charge actual wire bytes, not estimates.
 //
 //   Admission control.  When the foreground p99 (windowed, from the
 //   existing obs histogram named by Options::foreground_metric) exceeds
@@ -41,10 +41,10 @@
 // either synchronously (step(), what the tests drive) or on a small
 // ThreadPool fed by a dispatcher thread (start()/stop()).
 //
-// Lock order: store.mu_ -> scheduler.mu_ (the store calls the selection/
-// observer hooks while holding its mutex).  The scheduler therefore never
-// calls a store method while holding its own mutex, and the hooks touch
-// only scheduler state.  The order is enforced by the lock ranks in
+// Lock order: store.mu_ -> scheduler.mu_ (the store calls select_helpers
+// and observe_traffic while holding its mutex).  The scheduler therefore
+// never calls a store method while holding its own mutex, and those two
+// calls touch only scheduler state.  The order is enforced by the lock ranks in
 // util/sync.h (LockRank::kStore < kScheduler) and by the thread-safety
 // annotations below.
 //
@@ -153,7 +153,7 @@ class RepairScheduler {
     std::uint64_t max_window_ingress = 0;
   };
 
-  /// Installs itself on the store (helper policy, traffic observer, rehome
+  /// Attaches itself to the store (helper choice, traffic charges, rehome
   /// fan-in) for its lifetime.  The store and monitor must outlive it; one
   /// scheduler per store.
   RepairScheduler(CarouselStore& store, Options options);
@@ -209,6 +209,20 @@ class RepairScheduler {
 
   Stats stats() const EXCLUDES(mu_);
 
+  /// The store's repair fan-in: the `want` candidates (or all, if fewer)
+  /// whose servers are least charged in the current window, within-budget
+  /// servers first, ties by server id; returns their block indices.  The
+  /// store calls this under its own mutex, so it takes only scheduler mu_
+  /// (store -> scheduler lock order).
+  std::vector<std::size_t> select_helpers(
+      const std::vector<CarouselStore::HelperCandidate>& candidates,
+      std::size_t want, std::size_t bytes_per_helper) EXCLUDES(mu_);
+  /// Charges one repair transfer to the current window: helper egress at
+  /// PROJECT/GET time, newcomer ingress at re-upload.  Called under the
+  /// store's mutex, like select_helpers().
+  void observe_traffic(std::size_t server, std::uint64_t egress_bytes,
+                       std::uint64_t ingress_bytes) EXCLUDES(mu_);
+
  private:
   using BlockId = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
 
@@ -235,14 +249,6 @@ class RepairScheduler {
   void execute(const WorkItem& item) EXCLUDES(mu_);
   void finish(const WorkItem& item, bool ok, std::uint64_t bytes)
       EXCLUDES(mu_);
-
-  /// Store hooks (called under the store's mutex; they take scheduler mu_,
-  /// honoring the store -> scheduler lock order).
-  std::vector<std::size_t> select_helpers(
-      const std::vector<CarouselStore::HelperCandidate>& candidates,
-      std::size_t want, std::size_t bytes_per_helper) EXCLUDES(mu_);
-  void observe_traffic(std::size_t server, std::uint64_t egress_bytes,
-                       std::uint64_t ingress_bytes) EXCLUDES(mu_);
 
   std::uint32_t emergency_threshold() const;
   bool budget_ok_locked(const std::vector<bool>& dead) REQUIRES(mu_);

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
 #include "net/repair_scheduler.h"
 #include "obs/trace.h"
-#include "storage/erasure_file.h"
 #include "util/crc32.h"
 #include "util/thread_pool.h"
 
@@ -92,12 +92,7 @@ CarouselStore::Lease::~Lease() {
     if (server_->idle.size() < kMaxIdleClients) {
       server_->idle.push_back(std::move(client_));
     } else {
-      const auto cc = client_->counters();
-      server_->retired.retries += cc.retries;
-      server_->retired.reconnects += cc.reconnects;
-      server_->retired.timeouts += cc.timeouts;
-      server_->retired.wire_corruptions += cc.wire_corruptions;
-      server_->retired.corrupt_blocks += cc.corrupt_blocks;
+      server_->retired += client_->counters();
       server_->retired_bytes += client_->bytes_received();
       discard = std::move(client_);  // socket closes outside the lock
     }
@@ -173,7 +168,6 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
   if (!options.meta_dir.empty()) {
     MetaLog::Options mopts;
     mopts.fsync = options.meta_fsync;
-    mopts.snapshot_every = options.meta_snapshot_every;
     mopts.registry = registry_;
     util::MutexLock mlock(meta_mu_);
     meta_ = std::make_unique<MetaLog>(
@@ -182,11 +176,10 @@ CarouselStore::CarouselStore(const codes::Carousel& code,
         mopts);
     adopt_replayed_state();
   }
-  const std::size_t threads =
-      options.read_threads != 0
-          ? options.read_threads
-          : std::max<std::size_t>(8, 2 * code.n());
-  pool_ = std::make_unique<util::ThreadPool>(threads);
+  // Sized so one stripe's fan-out plus a second concurrent reader never
+  // queues behind itself.
+  pool_ = std::make_unique<util::ThreadPool>(
+      std::max<std::size_t>(8, 2 * code.n()));
 }
 
 void CarouselStore::adopt_replayed_state() {
@@ -206,21 +199,13 @@ void CarouselStore::adopt_replayed_state() {
         if (row.size() != code_->n())
           throw MetaReplayError("replayed file " + std::to_string(file_id) +
                                 " has a placement row of the wrong width");
-        // Re-verify the <= n-k blocks-per-domain invariant on the
-        // reconstructed placement: a journal must not resurrect a layout a
-        // live store would never have produced.
-        std::map<std::size_t, std::size_t> in_domain;
-        for (std::uint32_t sid : row) {
-          if (sid >= servers_.size())
-            throw MetaReplayError(
-                "replayed placement names a server outside the fleet: id " +
-                std::to_string(sid));
-          if (++in_domain[servers_[sid]->domain] > max_blocks_per_domain())
-            throw MetaReplayError(
-                "replayed placement violates the per-domain <= n-k "
-                "invariant for file " +
-                std::to_string(file_id));
-        }
+        // A journal must not resurrect a layout a live store would never
+        // have produced.
+        if (!row_fits_fleet_locked(row))
+          throw MetaReplayError(
+              "replayed placement for file " + std::to_string(file_id) +
+              " names a server outside the fleet or violates the "
+              "per-domain <= n-k invariant");
       }
       manifest_[file_id] =
           FileInfo{static_cast<std::size_t>(rec.file_bytes), rec.stripes,
@@ -359,21 +344,21 @@ std::size_t CarouselStore::home_of_locked(std::uint32_t file_id,
   return server_of(index);
 }
 
-std::size_t CarouselStore::home_of(std::uint32_t file_id, std::uint32_t stripe,
-                                   std::uint32_t index) const {
-  util::MutexLock lock(mu_);
-  return home_of_locked(file_id, stripe, index);
-}
-
 std::size_t CarouselStore::placement_of(std::uint32_t file_id,
                                         std::uint32_t stripe,
                                         std::uint32_t index) const {
-  return home_of(file_id, stripe, index);
+  util::MutexLock lock(mu_);
+  return home_of_locked(file_id, stripe, index);
 }
 
 std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on(
     std::size_t server_id) const {
   util::MutexLock lock(mu_);
+  return blocks_on_locked(server_id);
+}
+
+std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on_locked(
+    std::size_t server_id) const {
   std::vector<BlockRef> out;
   for (const auto& [file_id, info] : manifest_)
     for (std::size_t s = 0; s < info.stripes; ++s)
@@ -383,6 +368,16 @@ std::vector<CarouselStore::BlockRef> CarouselStore::blocks_on(
           out.push_back(BlockRef{file_id, static_cast<std::uint32_t>(s),
                                  static_cast<std::uint32_t>(i)});
   return out;
+}
+
+bool CarouselStore::row_fits_fleet_locked(
+    const std::vector<std::uint32_t>& row) const {
+  std::map<std::size_t, std::size_t> in_domain;
+  for (std::uint32_t sid : row)
+    if (sid >= servers_.size() ||
+        ++in_domain[servers_[sid]->domain] > max_blocks_per_domain())
+      return false;
+  return true;
 }
 
 bool CarouselStore::domain_fits_locked(std::size_t server_id,
@@ -471,7 +466,8 @@ void CarouselStore::set_placement_locked(std::uint32_t file_id,
 void CarouselStore::observe_traffic(std::size_t server, std::uint64_t egress,
                                     std::uint64_t ingress) {
   util::MutexLock lock(mu_);
-  if (traffic_observer_) traffic_observer_(server, egress, ingress);
+  if (scheduler_ != nullptr)
+    scheduler_->observe_traffic(server, egress, ingress);
 }
 
 void CarouselStore::set_hedge_policy(HedgePolicy policy) {
@@ -569,13 +565,16 @@ std::vector<std::vector<std::uint32_t>> CarouselStore::seed_placement(
 std::size_t CarouselStore::put_file(std::uint32_t file_id,
                                     std::span<const Byte> bytes) {
   obs::ScopedTimer timer(*put_seconds_);
-  storage::ErasureFile ef(*code_, bytes, block_bytes_);
+  const std::size_t n = code_->n();
+  const std::size_t stripe_data = code_->k() * block_bytes_;
+  // An empty file still occupies one (all-zero) stripe.
+  const std::size_t stripes =
+      std::max<std::size_t>(1, (bytes.size() + stripe_data - 1) / stripe_data);
   // Seed the placement table (the domain-aware rotation; the paper's
   // verbatim rule for default stores); re-homing rewrites individual
   // entries later.  Uploads run on leased connections and the manifest
   // commits last, after every block is stored.
-  std::vector<std::vector<std::uint32_t>> placement =
-      seed_placement(ef.stripes());
+  std::vector<std::vector<std::uint32_t>> placement = seed_placement(stripes);
   // A reused file id is rejected, never overwritten: overwriting the
   // manifest entry would strand the old stripes' blocks on their servers
   // forever.  The inflight set extends the check to two puts racing the
@@ -596,7 +595,7 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     if (meta_) {
       try {
         meta_->put_intent(file_id, bytes.size(),
-                          static_cast<std::uint32_t>(ef.stripes()), placement);
+                          static_cast<std::uint32_t>(stripes), placement);
       } catch (...) {
         util::MutexLock lock(mu_);
         inflight_puts_.erase(file_id);
@@ -605,22 +604,41 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     }
   }
   put_bytes_->inc(bytes.size());
+  // One stripe at a time: encode straight from the caller's bytes into one
+  // reused n-block scratch, then PUT its blocks before encoding the next.
+  // Only a short tail stripe is copied, to zero-pad it.
+  std::vector<Byte> scratch(n * block_bytes_);
+  std::vector<std::span<Byte>> blocks;
+  for (std::size_t i = 0; i < n; ++i)
+    blocks.emplace_back(scratch.data() + i * block_bytes_, block_bytes_);
+  std::vector<Byte> tail;
   std::size_t uploaded = 0;
   try {
-    for (std::size_t s = 0; s < ef.stripes(); ++s)
-      for (std::size_t i = 0; i < code_->n(); ++i) {
+    for (std::size_t s = 0; s < stripes; ++s) {
+      std::span<const Byte> data =
+          bytes.subspan(std::min(s * stripe_data, bytes.size()));
+      if (data.size() >= stripe_data) {
+        data = data.first(stripe_data);
+      } else {
+        tail.assign(stripe_data, 0);
+        std::copy(data.begin(), data.end(), tail.begin());
+        data = tail;
+      }
+      code_->encode(data, blocks);
+      for (std::size_t i = 0; i < n; ++i) {
         Lease c = lease(placement[s][i]);
         c->put(key(file_id, static_cast<std::uint32_t>(s),
                    static_cast<std::uint32_t>(i)),
-               ef.block(s, i));
+               blocks[i]);
         ++uploaded;
       }
+    }
   } catch (...) {
     // The put failed mid-upload: best-effort-delete what already landed,
     // then journal the abandonment so nothing stays pending.
     for (std::size_t b = 0; b < uploaded; ++b) {
-      const std::size_t s = b / code_->n();
-      const std::size_t i = b % code_->n();
+      const std::size_t s = b / n;
+      const std::size_t i = b % n;
       try {
         Lease c = lease(placement[s][i]);
         c->remove(key(file_id, static_cast<std::uint32_t>(s),
@@ -649,10 +667,9 @@ std::size_t CarouselStore::put_file(std::uint32_t file_id,
     if (meta_) meta_->put_commit(file_id);
     util::MutexLock lock(mu_);
     inflight_puts_.erase(file_id);
-    manifest_[file_id] =
-        FileInfo{bytes.size(), ef.stripes(), std::move(placement)};
+    manifest_[file_id] = FileInfo{bytes.size(), stripes, std::move(placement)};
   }
-  return ef.stripes();
+  return stripes;
 }
 
 std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
@@ -738,26 +755,24 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
     SlotOutcome out;
     try {
       // Deadline pre-check only: the coordinator owns budget reporting.
-      if (std::chrono::steady_clock::now() >= deadline) {
-        cell->complete(std::move(out));
-        return;
-      }
-      Lease c(*srv, policy_, registry_);
-      const auto start = std::chrono::steady_clock::now();
-      auto resp = c->get_range(bk, 0, len);
-      range_get_seconds_->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-      if (resp && resp->size() == len) {
-        out.bytes = std::move(*resp);
-        out.ok = true;
+      if (std::chrono::steady_clock::now() < deadline) {
+        auto resp = try_fetch(*srv, [&](Client& c) {
+          const auto start = std::chrono::steady_clock::now();
+          auto r = c.get_range(bk, 0, len);
+          range_get_seconds_->observe(
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count());
+          return r;
+        });
+        if (resp && resp->size() == len) {
+          out.bytes = std::move(*resp);
+          out.ok = true;
+        }
       }
       cell->complete(std::move(out));
     } catch (const BadRequestError&) {
       cell->fail(std::current_exception());
-    } catch (const Error&) {
-      cell->complete(std::move(out));  // an erasure, not an error
     }
   };
   auto fetch_stand_in = [this, deadline](Server* srv, BlockKey bk,
@@ -771,17 +786,12 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
     Client::Projection proj;
     for (std::size_t pos : code_->selection_pattern(slot))
       proj.push_back({{static_cast<std::uint32_t>(pos), Byte{1}}});
-    const std::size_t want = proj.size() * unit_bytes;
-    try {
-      Lease c(*srv, policy_, registry_);
-      auto resp = c->project(bk, static_cast<std::uint32_t>(unit_bytes), proj);
-      if (resp && resp->size() == want) {
-        out.bytes = std::move(*resp);
-        out.ok = true;
-      }
-    } catch (const BadRequestError&) {
-      throw;  // a malformed frame is a local bug, not a dead server
-    } catch (const Error&) {
+    auto resp = try_fetch(*srv, [&](Client& c) {
+      return c.project(bk, static_cast<std::uint32_t>(unit_bytes), proj);
+    });
+    if (resp && resp->size() == proj.size() * unit_bytes) {
+      out.bytes = std::move(*resp);
+      out.ok = true;
     }
     return out;
   };
@@ -841,8 +851,8 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
         const std::size_t cand = candidates.front();
         candidates.erase(candidates.begin());
         hedged_reads_->inc();
-        Server* csrv = &server_at(
-            home_of(file_id, s32, static_cast<std::uint32_t>(cand)));
+        Server* csrv =
+            &home_server(file_id, s32, static_cast<std::uint32_t>(cand));
         pool_->submit(
             [fetch_stand_in, csrv,
              bk = key(file_id, s32, static_cast<std::uint32_t>(cand)), cand,
@@ -894,8 +904,8 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
       for (std::size_t j = 0; j < launch; ++j) {
         const std::size_t slot = failed[j];
         const std::size_t cand = candidates[j];
-        Server* csrv = &server_at(
-            home_of(file_id, s32, static_cast<std::uint32_t>(cand)));
+        Server* csrv =
+            &home_server(file_id, s32, static_cast<std::uint32_t>(cand));
         round.push_back(pool_->submit_task(
             [fetch_stand_in, csrv,
              bk = key(file_id, s32, static_cast<std::uint32_t>(cand)), cand,
@@ -940,31 +950,52 @@ std::vector<Byte> CarouselStore::read_file(std::uint32_t file_id,
 
     // Last resort: any-k whole-block MDS decode.
     decode_fallbacks_->inc();
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<Byte>> blocks;
-    for (std::size_t i = 0; i < n && ids.size() < code_->k(); ++i) {
-      check_budget(deadline, budget_exhausted_, "read_file");
-      std::optional<std::vector<Byte>> b;
-      try {
-        Lease c = lease_for(file_id, s32, static_cast<std::uint32_t>(i));
-        b = c->get(key(file_id, s32, static_cast<std::uint32_t>(i)));
-      } catch (const BadRequestError&) {
-        throw;
-      } catch (const Error&) {
-        b = std::nullopt;
-      }
-      if (!b || b->size() != block_bytes_) continue;
-      ids.push_back(i);
-      blocks.push_back(std::move(*b));
-    }
-    if (ids.size() < code_->k())
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    AnyK got = fetch_any_k(file_id, s32, order, deadline, "read_file");
+    if (got.ids.size() < code_->k())
       throw std::runtime_error("stripe unrecoverable: fewer than k blocks");
     std::vector<std::span<const Byte>> views;
-    for (const auto& b : blocks) views.emplace_back(b);
-    code_->decode(ids, views, dst);
+    for (const auto& b : got.blocks) views.emplace_back(b);
+    code_->decode(got.ids, views, dst);
   }
   out.resize(file_bytes);
   return out;
+}
+
+std::optional<std::vector<Byte>> CarouselStore::try_fetch(
+    Server& srv,
+    const std::function<std::optional<std::vector<Byte>>(Client&)>& op)
+    const {
+  try {
+    Lease c(srv, policy_, registry_);
+    return op(*c);
+  } catch (const BadRequestError&) {
+    throw;  // a malformed frame is a local bug, not a dead server
+  } catch (const Error&) {
+    return std::nullopt;  // an erasure, not an error
+  }
+}
+
+CarouselStore::AnyK CarouselStore::fetch_any_k(
+    std::uint32_t file_id, std::uint32_t stripe,
+    const std::vector<std::size_t>& order,
+    std::chrono::steady_clock::time_point deadline, const char* what,
+    const std::function<void(std::size_t)>& on_block) {
+  AnyK got;
+  for (std::size_t i : order) {
+    if (got.ids.size() >= code_->k()) break;
+    check_budget(deadline, budget_exhausted_, what);
+    const auto i32 = static_cast<std::uint32_t>(i);
+    auto b = try_fetch(home_server(file_id, stripe, i32), [&](Client& c) {
+      return c.get(key(file_id, stripe, i32));
+    });
+    if (!b || b->size() != block_bytes_) continue;
+    if (on_block) on_block(i);
+    got.ids.push_back(i);
+    got.blocks.push_back(std::move(*b));
+  }
+  return got;
 }
 
 bool CarouselStore::drop_block(std::uint32_t file_id, std::uint32_t stripe,
@@ -1001,12 +1032,6 @@ std::uint64_t CarouselStore::repair_block(std::uint32_t file_id,
 std::uint64_t CarouselStore::rehome_block(std::uint32_t file_id,
                                           std::uint32_t stripe,
                                           std::uint32_t index) {
-  return rehome_block_impl(file_id, stripe, index);
-}
-
-std::uint64_t CarouselStore::rehome_block_impl(std::uint32_t file_id,
-                                               std::uint32_t stripe,
-                                               std::uint32_t index) {
   auto candidates = placement_candidates(file_id, stripe, index);
   if (candidates.empty()) {
     rehome_failures_->inc();
@@ -1033,13 +1058,7 @@ CarouselStore::RehomeReport CarouselStore::rehome_server(
   {
     util::MutexLock lock(mu_);
     // Collect first: rehoming rewrites the placement rows being iterated.
-    for (const auto& [file_id, info] : manifest_)
-      for (std::size_t s = 0; s < info.stripes; ++s)
-        for (std::size_t i = 0; i < code_->n(); ++i)
-          if (home_of_locked(file_id, static_cast<std::uint32_t>(s),
-                             static_cast<std::uint32_t>(i)) == server_id)
-            victims.push_back(BlockRef{file_id, static_cast<std::uint32_t>(s),
-                                       static_cast<std::uint32_t>(i)});
+    victims = blocks_on_locked(server_id);
     if (scheduler_ != nullptr) {
       // Healing becomes the scheduler's job: one kRehome item per victim,
       // prioritized by how many blocks the stripe just lost on this server.
@@ -1057,23 +1076,13 @@ CarouselStore::RehomeReport CarouselStore::rehome_server(
   // Inline heals run with no store lock held, like any other repair.
   for (const BlockRef& b : victims) {
     try {
-      report.bytes_read += rehome_block_impl(b.file, b.stripe, b.index);
+      report.bytes_read += rehome_block(b.file, b.stripe, b.index);
       ++report.rehomed;
     } catch (const std::exception&) {
       ++report.failed;
     }
   }
   return report;
-}
-
-void CarouselStore::set_helper_policy(HelperPolicy policy) {
-  util::MutexLock lock(mu_);
-  helper_policy_ = std::move(policy);
-}
-
-void CarouselStore::set_traffic_observer(TrafficObserver observer) {
-  util::MutexLock lock(mu_);
-  traffic_observer_ = std::move(observer);
 }
 
 void CarouselStore::attach_scheduler(RepairScheduler* scheduler) {
@@ -1086,28 +1095,16 @@ std::vector<std::size_t> CarouselStore::choose_helpers(
     const std::vector<std::size_t>& survivors, std::size_t want,
     std::size_t bytes_per_helper) const {
   util::MutexLock lock(mu_);
-  want = std::min(want, survivors.size());
-  std::vector<std::size_t> first(
-      survivors.begin(),
-      survivors.begin() + static_cast<std::ptrdiff_t>(want));
-  if (!helper_policy_) return first;
+  if (scheduler_ == nullptr)
+    return {survivors.begin(),
+            survivors.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(want, survivors.size()))};
   std::vector<HelperCandidate> candidates;
   candidates.reserve(survivors.size());
   for (std::size_t h : survivors)
     candidates.push_back(
         {h, home_of_locked(file_id, stripe, static_cast<std::uint32_t>(h))});
-  std::vector<std::size_t> picked;
-  try {
-    picked = helper_policy_(candidates, want, bytes_per_helper);
-  } catch (...) {
-    return first;  // a broken policy must not break repair
-  }
-  if (picked.size() != want) return first;
-  const std::set<std::size_t> allowed(survivors.begin(), survivors.end());
-  std::set<std::size_t> seen;
-  for (std::size_t h : picked)
-    if (!allowed.contains(h) || !seen.insert(h).second) return first;
-  return picked;
+  return scheduler_->select_helpers(candidates, want, bytes_per_helper);
 }
 
 std::uint64_t CarouselStore::repair_block_impl(
@@ -1141,9 +1138,9 @@ std::uint64_t CarouselStore::repair_block_impl(
   if (!code_->params().trivial_repair() && survivors.size() >= code_->d()) {
     // Optimal-traffic repair: helpers project phi server-side.  A helper
     // dying mid-repair abandons this path (its traffic still counts) and
-    // drops through to the whole-block decode below.  The helper policy
-    // (when a scheduler is attached) spreads this fan-in over the least-
-    // loaded survivors instead of always the first d.
+    // drops through to the whole-block decode below.  An attached scheduler
+    // spreads this fan-in over the least-loaded survivors instead of always
+    // the first d.
     std::vector<std::size_t> helpers = choose_helpers(
         file_id, stripe, survivors, code_->d(),
         block_bytes_ / code_->params().alpha());
@@ -1158,23 +1155,17 @@ std::uint64_t CarouselStore::repair_block_impl(
         for (auto [pos, coeff] : terms)
           wire.back().push_back({static_cast<std::uint32_t>(pos), coeff});
       }
-      std::optional<std::vector<Byte>> resp;
-      try {
-        Lease c = lease_for(file_id, stripe, static_cast<std::uint32_t>(h));
-        resp = c->project(key(file_id, stripe, static_cast<std::uint32_t>(h)),
-                          static_cast<std::uint32_t>(ub), wire);
-      } catch (const BadRequestError&) {
-        throw;  // locally composed malformed frame: a bug, not a dead helper
-      } catch (const Error&) {
-        resp = std::nullopt;
-      }
+      const auto h32 = static_cast<std::uint32_t>(h);
+      auto resp = try_fetch(home_server(file_id, stripe, h32), [&](Client& c) {
+        return c.project(key(file_id, stripe, h32),
+                         static_cast<std::uint32_t>(ub), wire);
+      });
       if (!resp) {
         complete = false;
         break;
       }
       fetched += resp->size();
-      observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
-                      resp->size(), 0);
+      observe_traffic(placement_of(file_id, stripe, h32), resp->size(), 0);
       chunk_store.push_back(std::move(*resp));
     }
     if (complete) {
@@ -1188,54 +1179,28 @@ std::uint64_t CarouselStore::repair_block_impl(
   if (!have_block) {
     // Whole-block fallback (d == k, fewer than d survivors, or a helper
     // died mid-MSR-repair): any k healthy blocks decode the stripe's view
-    // of the failed block.
-    std::vector<codes::UnitRef> sources;
-    std::vector<std::size_t> ids;
-    std::vector<std::vector<Byte>> blocks;
-    // Source order: with a helper policy the verified survivors come first
-    // in the policy's least-loaded order (so whole-block sources also spread
-    // over the fleet), then every other index ascending as a stale-probe
-    // hedge.  Without a policy this is the plain 0..n-1 walk.
-    bool policied;
-    {
-      util::MutexLock lock(mu_);
-      policied = static_cast<bool>(helper_policy_);
-    }
-    std::vector<std::size_t> order;
-    if (policied) {
-      order = choose_helpers(file_id, stripe, survivors, code_->k(),
-                             block_bytes_);
-      const std::set<std::size_t> chosen(order.begin(), order.end());
-      for (std::size_t h = 0; h < code_->n(); ++h)
-        if (h != index && !chosen.contains(h)) order.push_back(h);
-    } else {
-      for (std::size_t h = 0; h < code_->n(); ++h)
-        if (h != index) order.push_back(h);
-    }
-    for (std::size_t h : order) {
-      if (ids.size() >= code_->k()) break;
-      check_budget(deadline, budget_exhausted_, "repair_block");
-      std::optional<std::vector<Byte>> b;
-      try {
-        Lease c = lease_for(file_id, stripe, static_cast<std::uint32_t>(h));
-        b = c->get(key(file_id, stripe, static_cast<std::uint32_t>(h)));
-      } catch (const BadRequestError&) {
-        throw;  // locally composed malformed frame: a bug, not a dead helper
-      } catch (const Error&) {
-        b = std::nullopt;
-      }
-      if (!b || b->size() != block_bytes_) continue;
-      fetched += b->size();
-      observe_traffic(home_of(file_id, stripe, static_cast<std::uint32_t>(h)),
-                      b->size(), 0);
-      ids.push_back(h);
-      blocks.push_back(std::move(*b));
-    }
-    if (ids.size() < code_->k())
+    // of the failed block.  Source order: the verified survivors first (in
+    // an attached scheduler's least-loaded order, so whole-block sources
+    // also spread over the fleet), then every other index ascending as a
+    // stale-probe hedge.
+    std::vector<std::size_t> order =
+        choose_helpers(file_id, stripe, survivors, code_->k(), block_bytes_);
+    const std::set<std::size_t> chosen(order.begin(), order.end());
+    for (std::size_t h = 0; h < code_->n(); ++h)
+      if (h != index && !chosen.contains(h)) order.push_back(h);
+    AnyK got = fetch_any_k(
+        file_id, stripe, order, deadline, "repair_block", [&](std::size_t h) {
+          fetched += block_bytes_;
+          observe_traffic(
+              placement_of(file_id, stripe, static_cast<std::uint32_t>(h)),
+              block_bytes_, 0);
+        });
+    if (got.ids.size() < code_->k())
       throw std::runtime_error("repair impossible: fewer than k blocks");
-    for (std::size_t j = 0; j < ids.size(); ++j)
+    std::vector<codes::UnitRef> sources;
+    for (std::size_t j = 0; j < got.ids.size(); ++j)
       for (std::size_t t = 0; t < code_->s(); ++t)
-        sources.push_back({ids[j], t, blocks[j].data() + t * ub});
+        sources.push_back({got.ids[j], t, got.blocks[j].data() + t * ub});
     code_->project_units(sources, ub, index, rebuilt);
   }
 
@@ -1247,7 +1212,7 @@ std::uint64_t CarouselStore::repair_block_impl(
   // stripe exactly as it was (the block stays an erasure, never a silent
   // partial write).  PUT and the audit share one lease so the VERIFY sees
   // the same connection's view.
-  const std::size_t home = home_of(file_id, stripe, index);
+  const std::size_t home = placement_of(file_id, stripe, index);
   std::vector<std::size_t> uploads{target.value_or(home)};
   for (std::size_t c : placement_candidates(file_id, stripe, index))
     if (c != uploads.front()) uploads.push_back(c);
@@ -1390,18 +1355,8 @@ CarouselStore::ReconcileReport CarouselStore::reconcile() {
       // Re-check the rack invariant against the live fleet before adopting:
       // the intent predates the crash and the fleet may have changed shape.
       util::MutexLock lock(mu_);
-      std::map<std::uint64_t, std::size_t> in_domain;
-      for (const auto& row : rec.placement) {
-        in_domain.clear();
-        for (std::uint32_t sid : row) {
-          if (sid >= servers_.size() ||
-              ++in_domain[servers_[sid]->domain] > max_blocks_per_domain()) {
-            adoptable = false;
-            break;
-          }
-        }
-        if (!adoptable) break;
-      }
+      for (const auto& row : rec.placement)
+        adoptable = adoptable && row_fits_fleet_locked(row);
     }
     util::MutexLock mlock(meta_mu_);
     if (adoptable) {
@@ -1497,17 +1452,10 @@ std::uint64_t CarouselStore::bytes_received() const {
 Client::Counters CarouselStore::counters() const {
   util::MutexLock lock(mu_);
   Client::Counters total;
-  auto fold = [&total](const Client::Counters& cc) {
-    total.retries += cc.retries;
-    total.reconnects += cc.reconnects;
-    total.timeouts += cc.timeouts;
-    total.wire_corruptions += cc.wire_corruptions;
-    total.corrupt_blocks += cc.corrupt_blocks;
-  };
   for (const auto& s : servers_) {
     util::MutexLock pool_lock(s->pool_mu);
-    fold(s->retired);
-    for (const auto& c : s->idle) fold(c->counters());
+    total += s->retired;
+    for (const auto& c : s->idle) total += c->counters();
   }
   return total;
 }

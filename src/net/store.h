@@ -23,8 +23,8 @@
 // total (minted through one helper; check_invariants rule 7).
 //
 // Locking discipline: mu_ guards only in-memory lookups and mutations — the
-// manifest/placement tables, the servers_ vector, and the policy/observer/
-// scheduler hooks.  It is NEVER held across network I/O.  Every wire
+// manifest/placement tables, the servers_ vector, and the attached
+// scheduler.  It is NEVER held across network I/O.  Every wire
 // operation leases a connection from a per-server client pool (Server::idle,
 // guarded by the per-server pool_mu) and runs lock-free, so concurrent
 // read_file calls — and a background Scrubber or RepairScheduler healing
@@ -133,10 +133,6 @@ struct StoreOptions {
   /// Hedged-read policy; see HedgePolicy.  Runtime-adjustable via
   /// set_hedge_policy().
   HedgePolicy hedge{};
-  /// Workers in the store-owned pool the read path fans out over
-  /// (0 = max(8, 2n), sized so one stripe's fan-out plus a second
-  /// concurrent reader never queues behind itself).
-  std::size_t read_threads = 0;
   /// Failure-domain label per construction server (domains[i] labels
   /// ports[i]).  Empty = one domain per server (today's behavior).  When
   /// set it must match ports.size() and be satisfiable: the distinct
@@ -147,13 +143,13 @@ struct StoreOptions {
   /// CRC-per-record, fsynced) to this directory before it is published in
   /// memory, and constructing a store over an existing journal replays it
   /// — manifest, placement, spares and hedge policy survive a coordinator
-  /// crash.  Empty keeps the pre-existing in-memory-only coordinator.
+  /// crash; the journal compacts into a snapshot every
+  /// MetaLog::Options::snapshot_every records.  Empty keeps the
+  /// pre-existing in-memory-only coordinator.
   std::filesystem::path meta_dir;
   /// fsync the metadata journal (shape kept, durability traded for test
   /// speed when off — mirrors PersistentBlockStore::Options::fsync).
   bool meta_fsync = true;
-  /// Journal records between snapshot compactions (0 = never compact).
-  std::size_t meta_snapshot_every = 64;
 };
 
 class CarouselStore {
@@ -189,24 +185,12 @@ class CarouselStore {
   };
 
   /// One eligible repair helper: a surviving block index and the server the
-  /// placement table currently homes it on.
+  /// placement table currently homes it on (what an attached
+  /// RepairScheduler ranks helpers by).
   struct HelperCandidate {
     std::size_t index = 0;
     std::size_t server = 0;
   };
-
-  /// Picks which `want` of `candidates` a repair fans into, given the bytes
-  /// each chosen helper will ship.  Must return `want` distinct candidate
-  /// indices; anything else falls back to the first `want` survivors.
-  using HelperPolicy = std::function<std::vector<std::size_t>(
-      const std::vector<HelperCandidate>& candidates, std::size_t want,
-      std::size_t bytes_per_helper)>;
-
-  /// Observes actual repair wire traffic per server: helper egress at
-  /// PROJECT/GET time, newcomer ingress at re-upload time.
-  using TrafficObserver = std::function<void(std::size_t server,
-                                             std::uint64_t egress_bytes,
-                                             std::uint64_t ingress_bytes)>;
 
   /// Remembers the given servers (connections are lazy).  The code must
   /// outlive the store.  Requires at least one server; one block per server
@@ -332,19 +316,14 @@ class CarouselStore {
   void set_hedge_policy(HedgePolicy policy) EXCLUDES(mu_);
   HedgePolicy hedge_policy() const EXCLUDES(mu_);
 
-  /// Overrides which survivors the repair path fans into (null restores the
-  /// first-d default).  The policy is invoked under the store's mutex and
-  /// must not call back into the store.
-  void set_helper_policy(HelperPolicy policy) EXCLUDES(mu_);
-
-  /// Observes every repair/rehome wire transfer (null detaches).  Invoked
-  /// under the store's mutex; must not call back into the store.
-  void set_traffic_observer(TrafficObserver observer) EXCLUDES(mu_);
-
-  /// Attaches a RepairScheduler: rehome_server() then enqueues one kRehome
-  /// item per victim block (criticality = per-stripe victim count) instead
-  /// of healing inline.  Pass nullptr to detach; the scheduler does both
-  /// automatically over its lifetime.
+  /// Attaches a RepairScheduler, which then owns three decisions:
+  /// rehome_server() enqueues one kRehome item per victim block
+  /// (criticality = per-stripe victim count) instead of healing inline;
+  /// repairs fan into the helpers its select_helpers() ranks least charged;
+  /// and every repair/rehome wire transfer is charged to its per-server
+  /// budgets via observe_traffic().  Both calls run under this store's
+  /// mutex (store -> scheduler lock order).  Pass nullptr to detach; the
+  /// scheduler does both automatically over its lifetime.
   void attach_scheduler(RepairScheduler* scheduler) EXCLUDES(mu_);
 
   /// Outcome of one reconcile() pass over the intents a replay recovered.
@@ -416,6 +395,7 @@ class CarouselStore {
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
     Client* operator->() { return client_.get(); }
+    Client& operator*() { return *client_; }
 
    private:
     Server* server_;
@@ -426,14 +406,38 @@ class CarouselStore {
                                 bool labeled) REQUIRES(mu_);
   Server& server_at(std::size_t server_id) const
       EXCLUDES(mu_);  // takes mu_ briefly
+  Server& home_server(std::uint32_t file_id, std::uint32_t stripe,
+                      std::uint32_t index) const EXCLUDES(mu_) {
+    return server_at(placement_of(file_id, stripe, index));
+  }
   Lease lease(std::size_t server_id) const EXCLUDES(mu_);
-  std::size_t home_of(std::uint32_t file_id, std::uint32_t stripe,
-                      std::uint32_t index) const
-      EXCLUDES(mu_);  // takes mu_ briefly
   Lease lease_for(std::uint32_t file_id, std::uint32_t stripe,
                   std::uint32_t index) const EXCLUDES(mu_) {
-    return lease(home_of(file_id, stripe, index));
+    return lease(placement_of(file_id, stripe, index));
   }
+  /// The erasure-tolerant call every fetch-ladder step makes: leases a
+  /// connection to `srv` and returns op(client).  BadRequestError (a frame
+  /// this store composed wrongly: a local bug) propagates; any other
+  /// net::Error — a dead, slow or lying server — is an erasure and yields
+  /// nullopt.  Callers judge the answer's size themselves.
+  std::optional<std::vector<codes::Byte>> try_fetch(
+      Server& srv,
+      const std::function<std::optional<std::vector<codes::Byte>>(Client&)>&
+          op) const;
+  /// Whole blocks of one stripe, fetched in `order` until k full-size ones
+  /// are in hand (the any-k MDS fallback of both the read and the repair
+  /// path); `on_block(index)`, when set, runs as each one lands.  Checks
+  /// the op budget before each GET; may return fewer than k when too few
+  /// answer.
+  struct AnyK {
+    std::vector<std::size_t> ids;
+    std::vector<std::vector<codes::Byte>> blocks;
+  };
+  AnyK fetch_any_k(
+      std::uint32_t file_id, std::uint32_t stripe,
+      const std::vector<std::size_t>& order,
+      std::chrono::steady_clock::time_point deadline, const char* what,
+      const std::function<void(std::size_t)>& on_block = nullptr);
   BlockKey key(std::uint32_t file, std::uint32_t stripe,
                std::uint32_t index) const {
     return BlockKey{file, stripe, index};
@@ -444,11 +448,17 @@ class CarouselStore {
   /// Current hedge latency budget: the policy quantile of the range-GET
   /// histogram, floored, or `initial` while samples are scarce.
   std::chrono::milliseconds hedge_budget(const HedgePolicy& policy) const;
-  /// Invokes the traffic observer under mu_ (its documented contract).
+  /// Charges repair wire traffic to the attached scheduler, if any.
   void observe_traffic(std::size_t server, std::uint64_t egress,
                        std::uint64_t ingress) EXCLUDES(mu_);
   std::size_t home_of_locked(std::uint32_t file_id, std::uint32_t stripe,
                              std::uint32_t index) const REQUIRES(mu_);
+  std::vector<BlockRef> blocks_on_locked(std::size_t server_id) const
+      REQUIRES(mu_);
+  /// True when every id in one replayed or recovered placement row names a
+  /// registered server and no domain holds more than n-k of the row.
+  bool row_fits_fleet_locked(const std::vector<std::uint32_t>& row) const
+      REQUIRES(mu_);
   /// True when homing block (stripe, index) on `server_id` keeps its
   /// domain's stripe-block count (excluding the block's own slot) under the
   /// <= n-k invariant.  The one predicate every placement mutation
@@ -490,13 +500,9 @@ class CarouselStore {
                                   std::optional<std::size_t> target,
                                   std::chrono::steady_clock::time_point
                                       budget_deadline) EXCLUDES(mu_);
-  std::uint64_t rehome_block_impl(std::uint32_t file_id, std::uint32_t stripe,
-                                  std::uint32_t index) EXCLUDES(mu_);
   std::chrono::steady_clock::time_point budget_deadline() const;
-  /// Survivor ordering for the repair fan-in: the helper policy's choice
-  /// (validated: `want` distinct members of `survivors`) or the first
-  /// `want` survivors when no policy is set or its answer is unusable.
-  /// Takes mu_ internally (the policy hook's contract).
+  /// Survivor ordering for the repair fan-in: the attached scheduler's
+  /// least-charged `want` survivors, or the first `want` without one.
   std::vector<std::size_t> choose_helpers(
       std::uint32_t file_id, std::uint32_t stripe,
       const std::vector<std::size_t>& survivors, std::size_t want,
@@ -533,7 +539,7 @@ class CarouselStore {
       GUARDED_BY(meta_mu_);
   // Lookups/mutations only; NEVER held across I/O.  First acquired of the
   // store-side locks (LockRank::kStore), so it may nest the scheduler's
-  // mutex (hooks) and any Server::pool_mu, never the reverse.
+  // mutex and any Server::pool_mu, never the reverse.
   mutable util::Mutex mu_{util::LockRank::kStore};
   // The vector is guarded; the heap-allocated Servers it points at live as
   // long as the store, so a read task may keep a Server* with no lock.
@@ -548,9 +554,7 @@ class CarouselStore {
   // catch two concurrent puts racing the same id, not only committed files.
   std::set<std::uint32_t> inflight_puts_ GUARDED_BY(mu_);
   HedgePolicy hedge_ GUARDED_BY(mu_);  // snapshotted per read
-  // Both hooks run under mu_ and touch only their owner's state.
-  HelperPolicy helper_policy_ GUARDED_BY(mu_);
-  TrafficObserver traffic_observer_ GUARDED_BY(mu_);
+  // Called under mu_; its methods touch only scheduler state.
   RepairScheduler* scheduler_ GUARDED_BY(mu_) = nullptr;
 
   // Cached instruments (constructor-resolved from registry_).

@@ -10,14 +10,12 @@
 namespace carousel::storage {
 
 ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
-                         std::size_t block_bytes, std::size_t threads)
+                         std::size_t block_bytes)
     : code_(&code), file_bytes_(file.size()), block_bytes_(block_bytes) {
   if (block_bytes == 0 || block_bytes % code.s() != 0)
     throw std::invalid_argument(
         "block_bytes must be a positive multiple of the code's "
         "subpacketization");
-  if (threads == 0) throw std::invalid_argument("threads must be >= 1");
-  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
   const std::size_t stripe_data = code.k() * block_bytes;
   stripes_ = (file.size() + stripe_data - 1) / stripe_data;
   if (stripes_ == 0) stripes_ = 1;  // an empty file still occupies one stripe
@@ -26,7 +24,7 @@ ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
   store_.assign(stripes_ * code.n() * block_bytes, 0);
   available_.assign(stripes_ * code.n(), true);
   checksum_.assign(stripes_ * code.n(), 0);
-  for_each_stripe([&](std::size_t s) {
+  for (std::size_t s = 0; s < stripes_; ++s) {
     std::vector<std::span<Byte>> blocks;
     blocks.reserve(code_->n());
     for (std::size_t i = 0; i < code_->n(); ++i)
@@ -36,20 +34,11 @@ ErasureFile::ErasureFile(const Carousel& code, std::span<const Byte> file,
                               stripe_data),
         blocks);
     for (std::size_t i = 0; i < code_->n(); ++i) record_checksum(s, i);
-  });
+  }
 }
 
 void ErasureFile::record_checksum(std::size_t stripe, std::size_t index) {
   checksum_[slot(stripe, index)] = util::crc32(block(stripe, index));
-}
-
-void ErasureFile::for_each_stripe(
-    const std::function<void(std::size_t)>& fn) const {
-  if (pool_) {
-    pool_->parallel_for(stripes_, fn);
-    return;
-  }
-  for (std::size_t s = 0; s < stripes_; ++s) fn(s);
 }
 
 std::span<const Byte> ErasureFile::block(std::size_t stripe,
@@ -130,13 +119,10 @@ IoStats ErasureFile::read_stripe(std::size_t s, std::span<Byte> dst) const {
 std::vector<Byte> ErasureFile::read_all(IoStats* stats) const {
   const std::size_t stripe_data = code_->k() * block_bytes_;
   std::vector<Byte> out(stripes_ * stripe_data);
-  std::vector<IoStats> per_stripe(stripes_);
-  for_each_stripe([&](std::size_t s) {
-    per_stripe[s] = read_stripe(
-        s, std::span<Byte>(out.data() + s * stripe_data, stripe_data));
-  });
   IoStats total;
-  for (const auto& st : per_stripe) {
+  for (std::size_t s = 0; s < stripes_; ++s) {
+    const IoStats st = read_stripe(
+        s, std::span<Byte>(out.data() + s * stripe_data, stripe_data));
     total.bytes_read += st.bytes_read;
     total.sources += st.sources;
   }

@@ -48,13 +48,6 @@ void ThreadPool::wait_idle() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < count; ++i)
-    submit([&fn, i] { fn(i); });
-  wait_idle();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

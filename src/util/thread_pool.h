@@ -1,8 +1,8 @@
-// Fixed-size worker pool used to parallelise per-stripe coding work.
+// Fixed-size worker pool for concurrent network work.
 //
-// The paper's coding microbenchmarks run on 16-core machines; stripes are
-// independent, so file-level encode/decode parallelises across them with no
-// shared state (storage::ErasureFile drives this).
+// net::CarouselStore fans each stripe's range-GETs and §VII stand-ins out
+// over one (submit_task per fetch, so concurrent readers never wait on each
+// other's tasks); net::RepairScheduler runs its admitted repairs on another.
 
 #ifndef CAROUSEL_UTIL_THREAD_POOL_H
 #define CAROUSEL_UTIL_THREAD_POOL_H
@@ -57,11 +57,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.  If any task threw, the
   /// first exception is rethrown here (the rest are dropped).
   void wait_idle() EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits; convenience
-  /// for parallel loops.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -208,6 +208,40 @@ TEST_F(StoreTest, PutReadRoundTrip) {
   EXPECT_EQ(store.read_file(1, file.size()), file);
 }
 
+TEST_F(StoreTest, PutStoresBlocksByteIdenticalToErasureFile) {
+  // put_file encodes stripe by stripe; the stored blocks must match the
+  // whole-file reference encoder exactly, padding included.
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 16;
+  const std::size_t stripe_data = code.k() * block;
+  CarouselStore store(code, ports_, block);
+  struct Case {
+    std::uint32_t id;
+    std::size_t bytes;
+    std::size_t stripes;
+  };
+  for (const Case& c :
+       {Case{1, 3 * stripe_data - block / 3, 3},  // ragged tail
+        Case{2, 2 * stripe_data, 2},              // exact multiple
+        Case{3, 0, 1}}) {                         // empty file
+    auto file = random_bytes(c.bytes, 40 + c.id);
+    EXPECT_EQ(store.put_file(c.id, file), c.stripes) << "file " << c.id;
+    storage::ErasureFile ef(code, file, block);
+    ASSERT_EQ(ef.stripes(), c.stripes);
+    for (std::uint32_t s = 0; s < c.stripes; ++s)
+      for (std::uint32_t i = 0; i < code.n(); ++i) {
+        Client direct(ports_[store.placement_of(c.id, s, i)]);
+        auto got = direct.get(BlockKey{c.id, s, i});
+        ASSERT_TRUE(got.has_value()) << c.id << "/" << s << "/" << i;
+        const auto want = ef.block(s, i);
+        EXPECT_TRUE(std::equal(got->begin(), got->end(), want.begin(),
+                               want.end()))
+            << c.id << "/" << s << "/" << i;
+      }
+    EXPECT_EQ(store.read_file(c.id, file.size()), file) << "file " << c.id;
+  }
+}
+
 TEST_F(StoreTest, DegradedReadUsesPatternTraffic) {
   codes::Carousel code(12, 6, 10, 10);
   const std::size_t block = code.s() * 512;

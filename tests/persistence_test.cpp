@@ -17,11 +17,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "codes/carousel.h"
 #include "net/block_server.h"
 #include "net/client.h"
+#include "net/durable_io.h"
 #include "net/errors.h"
 #include "net/fault.h"
 #include "net/persistence.h"
@@ -89,6 +91,23 @@ TEST_F(PersistenceTest, StemRoundTripsAndRejectsNonCanonical) {
   EXPECT_FALSE(PersistentBlockStore::parse_stem("b07_300_11").has_value());
   EXPECT_FALSE(PersistentBlockStore::parse_stem("x7_300_11").has_value());
   EXPECT_FALSE(PersistentBlockStore::parse_stem("b7_300_11x").has_value());
+}
+
+TEST_F(PersistenceTest, DirectoryFlushThrowsInsteadOfFailingSilently) {
+  // A rename is durable only once its directory is flushed; the journal
+  // truncates behind a snapshot only after that flush returns, so a flush
+  // that cannot run must throw, never report success.
+  obs::Counter fsyncs;
+  EXPECT_NO_THROW(durable::flush_dir(dir_, fsyncs));
+  EXPECT_EQ(fsyncs.value(), 1u);
+  const fs::path file = dir_ / "plain";
+  durable::write_file(file, std::vector<std::uint8_t>{1, 2, 3});
+  EXPECT_THROW(durable::flush_dir(dir_ / "missing", fsyncs),
+               std::system_error);
+  EXPECT_THROW(durable::flush_dir(file, fsyncs), std::system_error);
+  EXPECT_EQ(fsyncs.value(), 1u);  // failed flushes are not counted
+  EXPECT_NO_THROW(durable::flush_file(file, fsyncs));
+  EXPECT_EQ(durable::read_file(file), (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST_F(PersistenceTest, RecoveryOfEmptyDirectoryIsClean) {

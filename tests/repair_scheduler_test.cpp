@@ -331,8 +331,11 @@ TEST_F(RepairSchedulerTest, MsrRepairSpreadsChunksAndHonorsTheBudget) {
 }
 
 TEST_F(RepairSchedulerTest, StoreHonorsACustomHelperChoice) {
-  // The policy seam itself: any d distinct survivors must work, so a
-  // policy that picks the *last* d still repairs at optimal traffic.
+  // The MSR fan-in takes the attached scheduler's least-charged helpers,
+  // not the first d survivors.  Healing block 0 charges one chunk to each
+  // of servers 1..10; block 1's survivors are then 0 and 2..11, and the
+  // least-charged d are 0, 11 and 2..9 — a set the first-d default
+  // (0, 2..10) would not pick.
   make_fleet(12);
   codes::Carousel code(12, 6, 10, 12);
   const std::size_t block = code.s() * 8;
@@ -340,29 +343,29 @@ TEST_F(RepairSchedulerTest, StoreHonorsACustomHelperChoice) {
   auto file = random_bytes(code.k() * block, 13);
   store.put_file(1, file);
 
-  std::atomic<std::size_t> calls{0};
-  store.set_helper_policy(
-      [&](const std::vector<CarouselStore::HelperCandidate>& cands,
-          std::size_t want, std::size_t) {
-        ++calls;
-        std::vector<std::size_t> picked;
-        for (std::size_t i = cands.size(); i-- > 0 && picked.size() < want;)
-          picked.push_back(cands[i].index);
-        return picked;
-      });
-  store.drop_block(1, 0, 0);
-  const std::uint64_t fetched = store.repair_block(1, 0, 0);
-  EXPECT_GE(calls.load(), 1u);
-  // Still the paper's optimal d/(d-k+1) = 2 block sizes on the wire.
-  EXPECT_EQ(fetched, std::uint64_t{2} * block);
-  EXPECT_EQ(store.read_file(1, file.size()), file);
+  RepairScheduler::Options ropts;
+  ropts.budget_window = std::chrono::hours(1);  // both heals share a window
+  RepairScheduler sched(store, ropts);
+  auto projections = [&](std::size_t server) {
+    return servers_[server]
+        ->metrics()
+        .counter(obs::labeled("carousel_server_requests_total", "op",
+                              "project"))
+        .value();
+  };
 
-  // A broken policy must not break repair: fall back to the first d.
-  store.set_helper_policy(
-      [](const std::vector<CarouselStore::HelperCandidate>&, std::size_t,
-         std::size_t) { return std::vector<std::size_t>{0, 0, 0}; });
-  store.drop_block(1, 0, 3);
-  EXPECT_EQ(store.repair_block(1, 0, 3), std::uint64_t{2} * block);
+  store.drop_block(1, 0, 0);
+  EXPECT_EQ(store.repair_block(1, 0, 0), std::uint64_t{2} * block);
+  store.drop_block(1, 0, 1);
+  // Still the paper's optimal d/(d-k+1) = 2 block sizes on the wire.
+  EXPECT_EQ(store.repair_block(1, 0, 1), std::uint64_t{2} * block);
+
+  EXPECT_EQ(projections(0), 1u);   // block 1's helper only
+  EXPECT_EQ(projections(1), 1u);   // block 0's helper only
+  EXPECT_EQ(projections(10), 1u);  // block 0's helper only: skipped for 11
+  EXPECT_EQ(projections(11), 1u);  // block 1's helper only
+  for (std::size_t sid = 2; sid <= 9; ++sid)
+    EXPECT_EQ(projections(sid), 2u) << "server " << sid;
   EXPECT_EQ(store.read_file(1, file.size()), file);
 }
 
