@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 
 #include "gf/vect.h"
@@ -49,6 +50,15 @@ LinearCode::LinearCode(CodeParams params, std::size_t s, Matrix generator)
                                        support_.back().front())
                                  : -1);
   }
+  std::map<std::vector<std::size_t>, std::size_t> group_of;
+  for (std::size_t r = 0; r < g_.rows(); ++r) {
+    if (identity_col_[r] >= 0) continue;
+    auto [it, fresh] = group_of.try_emplace(support_[r], groups_.size());
+    if (fresh) groups_.push_back({support_[r], {}, {}});
+    RowGroup& group = groups_[it->second];
+    group.rows.push_back(r);
+    for (std::size_t c : support_[r]) group.coeffs.push_back(g_.at(r, c));
+  }
 }
 
 void LinearCode::encode(std::span<const Byte> data,
@@ -60,10 +70,34 @@ void LinearCode::encode(std::span<const Byte> data,
   const std::size_t block_bytes = s_ * ub;
   const auto& ins = instruments();
   obs::ScopedTimer timer(*ins.encode_seconds);
-  for (std::size_t i = 0; i < n(); ++i) {
+  for (std::size_t i = 0; i < n(); ++i)
     if (blocks[i].size() != block_bytes)
       throw std::invalid_argument("block buffer has wrong size");
-    encode_block(i, data, blocks[i]);
+  auto unit_out = [&](std::size_t r) {
+    return blocks[r / s_].data() + (r % s_) * ub;
+  };
+  for (std::size_t r = 0; r < g_.rows(); ++r)
+    if (identity_col_[r] >= 0)
+      std::memcpy(unit_out(r),
+                  data.data() + static_cast<std::size_t>(identity_col_[r]) * ub,
+                  ub);
+  // The units are walked in slices, each slice through every group: a
+  // group reads all its sources once per kMaxDotProdRows outputs, so a slice
+  // of the sources small enough for the cache stays there from one batch of
+  // outputs, and one group, to the next.
+  constexpr std::size_t kSlice = 4096;
+  std::vector<const Byte*> srcs;
+  std::vector<Byte*> dsts;
+  for (std::size_t begin = 0; begin < ub; begin += kSlice) {
+    const std::size_t len = std::min(kSlice, ub - begin);
+    for (const RowGroup& group : groups_) {
+      srcs.clear();
+      for (std::size_t c : group.support)
+        srcs.push_back(data.data() + c * ub + begin);
+      dsts.clear();
+      for (std::size_t r : group.rows) dsts.push_back(unit_out(r) + begin);
+      gf::dot_prod_regions(group.coeffs, srcs, dsts, len);
+    }
   }
   ins.encode_bytes->inc(n() * block_bytes);
 }
@@ -72,6 +106,8 @@ void LinearCode::encode_block(std::size_t id, std::span<const Byte> data,
                               std::span<Byte> out) const {
   const std::size_t ub = data.size() / message_units();
   assert(out.size() == s_ * ub);
+  std::vector<const Byte*> srcs;
+  std::vector<Byte> coeffs;
   for (std::size_t t = 0; t < s_; ++t) {
     const std::size_t r = id * s_ + t;
     Byte* dst = out.data() + t * ub;
@@ -80,9 +116,13 @@ void LinearCode::encode_block(std::size_t id, std::span<const Byte> data,
                   ub);
       continue;
     }
-    gf::zero_region(dst, ub);
-    for (std::size_t c : support_[r])
-      gf::mul_add_region(g_.at(r, c), data.data() + c * ub, dst, ub);
+    srcs.clear();
+    coeffs.clear();
+    for (std::size_t c : support_[r]) {
+      srcs.push_back(data.data() + c * ub);
+      coeffs.push_back(g_.at(r, c));
+    }
+    gf::dot_prod_region(coeffs, srcs, dst, ub);
   }
 }
 
@@ -91,23 +131,13 @@ void LinearCode::encode_block_dense(std::size_t id,
                                     std::span<Byte> out) const {
   const std::size_t ub = data.size() / message_units();
   assert(out.size() == s_ * ub);
-  // Zero coefficients still pay a full region pass (into a scratch buffer,
-  // to keep the output identical) — the same kernels as the sparse path, so
-  // the comparison isolates exactly the zero-skip optimisation.
-  std::vector<Byte> scratch(ub);
-  for (std::size_t t = 0; t < s_; ++t) {
-    const std::size_t r = id * s_ + t;
-    Byte* dst = out.data() + t * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t c = 0; c < g_.cols(); ++c) {
-      const Byte coeff = g_.at(r, c);
-      const Byte* src = data.data() + c * ub;
-      if (coeff != 0)
-        gf::mul_add_region(coeff, src, dst, ub);
-      else
-        gf::mul_add_region(1, src, scratch.data(), ub);
-    }
-  }
+  // Every generator entry, zeros included, pays one multiply in the same
+  // fused kernel the sparse path uses, so the comparison isolates exactly
+  // the zero-skip optimisation.
+  std::vector<const Byte*> srcs(g_.cols());
+  for (std::size_t c = 0; c < g_.cols(); ++c) srcs[c] = data.data() + c * ub;
+  for (std::size_t t = 0; t < s_; ++t)
+    gf::dot_prod_region(unit_row(id, t), srcs, out.data() + t * ub, ub);
 }
 
 IoStats LinearCode::decode(std::span<const std::size_t> ids,

@@ -73,7 +73,8 @@ class LinearCode {
   /// Encodes a stripe: data holds k*s units back to back (k blocks' worth of
   /// original bytes); each of the n output spans receives one block of
   /// data.size()/k bytes.  Zero coefficients are skipped and identity rows
-  /// become copies, so systematic/sparse generators encode at base-code cost.
+  /// become copies, so systematic/sparse generators encode at base-code cost;
+  /// the other rows run through gf::dot_prod_regions, grouped by support.
   void encode(std::span<const Byte> data,
               std::span<const std::span<Byte>> blocks) const;
 
@@ -172,6 +173,16 @@ class LinearCode {
   // unit vectors additionally noted for the copy fast path.
   std::vector<std::vector<std::size_t>> support_;
   std::vector<std::ptrdiff_t> identity_col_;  // -1 when not a unit row
+  // The non-unit rows grouped by identical support, for encode(): a group's
+  // rows go through one multi-output dot product, so each source unit is
+  // loaded once per kMaxDotProdRows outputs, and rows with different
+  // supports (different Carousel expansion coordinates) never share a call.
+  struct RowGroup {
+    std::vector<std::size_t> support;  // message-unit columns
+    std::vector<std::size_t> rows;     // generator rows
+    std::vector<Byte> coeffs;  // rows.size() x support.size(), row-major
+  };
+  std::vector<RowGroup> groups_;
   mutable std::once_flag instruments_once_;
   mutable Instruments instruments_;
 };

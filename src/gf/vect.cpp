@@ -1,9 +1,9 @@
 #include "gf/vect.h"
 
 #include <atomic>
-#include <cassert>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "gf/backend.h"
 #include "gf/vect_simd_internal.h"
@@ -21,14 +21,20 @@ std::atomic<Backend>& backend_slot() {
 // Dispatch counters, one per (backend, kernel) pair.  Resolved once into a
 // static table so the per-call cost is a single relaxed atomic add — these
 // sit under every encode/decode/repair region pass in the stack.
-enum Kernel { kMul = 0, kMulAdd = 1, kXor = 2, kKernelCount = 3 };
+enum Kernel {
+  kMul = 0,
+  kMulAdd = 1,
+  kXor = 2,
+  kDotProd = 3,
+  kKernelCount = 4
+};
 
 struct DispatchCounters {
   obs::Counter* calls[3][kKernelCount];
   DispatchCounters() {
     auto& reg = obs::MetricsRegistry::global();
     const char* backends[] = {"scalar", "avx2", "gfni"};
-    const char* kernels[] = {"mul", "mul_add", "xor"};
+    const char* kernels[] = {"mul", "mul_add", "xor", "dot_prod"};
     for (int b = 0; b < 3; ++b)
       for (int k = 0; k < kKernelCount; ++k)
         calls[b][k] = &reg.counter(obs::labeled(
@@ -174,10 +180,39 @@ void zero_region(Byte* dst, std::size_t n) { std::memset(dst, 0, n); }
 void dot_prod_region(std::span<const Byte> coeffs,
                      std::span<const Byte* const> srcs, Byte* dst,
                      std::size_t n) {
-  assert(coeffs.size() == srcs.size());
-  zero_region(dst, n);
-  for (std::size_t s = 0; s < srcs.size(); ++s)
-    mul_add_region(coeffs[s], srcs[s], dst, n);
+  Byte* const dsts[] = {dst};
+  dot_prod_regions(coeffs, srcs, dsts, n);
+}
+
+void dot_prod_regions(std::span<const Byte> coeffs,
+                      std::span<const Byte* const> srcs,
+                      std::span<Byte* const> dsts, std::size_t n) {
+  const std::size_t nsrc = srcs.size();
+  if (coeffs.size() != dsts.size() * nsrc)
+    throw std::invalid_argument(
+        "dot_prod_regions: need one coefficient per (output, source)");
+  if (n == 0) return;
+  if (nsrc == 0) {
+    for (Byte* dst : dsts) zero_region(dst, n);
+    return;
+  }
+  const Backend be = active_backend();
+  if (be == Backend::kScalar) {
+    // The reference: one table pass per (output, source).
+    for (std::size_t r = 0; r < dsts.size(); ++r) {
+      zero_region(dsts[r], n);
+      for (std::size_t s = 0; s < nsrc; ++s)
+        mul_add_region(coeffs[r * nsrc + s], srcs[s], dsts[r], n);
+    }
+    return;
+  }
+  count_dispatch(be, kDotProd);
+  if (be == Backend::kGfni)
+    internal::dot_prod_gfni(coeffs.data(), dsts.size(), srcs.data(), nsrc,
+                            dsts.data(), n);
+  else
+    internal::dot_prod_avx2(coeffs.data(), dsts.size(), srcs.data(), nsrc,
+                            dsts.data(), n);
 }
 
 }  // namespace carousel::gf

@@ -2,14 +2,16 @@
 // and repair operation in this repository.
 //
 // Like ISA-L's gf_vect_* family, these operate on large byte regions with a
-// single field coefficient (or one coefficient per source region for the
-// dot-product form).  The implementation is table-driven: a process-wide
-// 64 KiB full multiplication table keeps the per-byte cost at one load, which
-// is the portable analogue of ISA-L's SIMD shuffle kernels.  Absolute
-// throughput differs from hand-tuned AVX code, but the *relative* costs
-// between codes — which is what the paper's Figures 6–8 compare — depend only
-// on how many multiply-accumulate passes each code performs per output byte,
-// and that structure is preserved exactly.
+// single field coefficient, or one coefficient per (output, source) pair for
+// the dot-product forms.  Three backends sit behind every call (gf/backend.h):
+// a scalar full-table lookup (the reference the tests compare against), AVX2
+// nibble shuffles and GFNI affine transforms, 32 bytes per instruction.
+//
+// The dot products are fused, as in ISA-L's gf_vect_dot_prod and
+// gf_Nvect_dot_prod: every source chunk is loaded once, multiplied into
+// register accumulators for up to kMaxDotProdRows outputs, and each output
+// is stored once.  That is what an encode pays per parity unit; a loop of
+// mul_add_region passes would re-read and re-write the output per source.
 
 #ifndef CAROUSEL_GF_VECT_H
 #define CAROUSEL_GF_VECT_H
@@ -39,12 +41,26 @@ void xor_region(const Byte* src, Byte* dst, std::size_t n);
 /// Zero-fill helper kept next to the kernels for symmetry.
 void zero_region(Byte* dst, std::size_t n);
 
+/// Outputs one dot_prod_regions kernel call computes per load of a source
+/// chunk; longer output lists are processed in groups of this size.
+inline constexpr std::size_t kMaxDotProdRows = 4;
+
 /// dst = sum_i coeffs[i] * srcs[i] over n bytes — the gf_vect_dot_prod
-/// analogue.  coeffs.size() must equal srcs.size(); zero coefficients are
-/// skipped, unit coefficients take the XOR fast path.
+/// analogue.  coeffs.size() must equal srcs.size() (std::invalid_argument
+/// otherwise).  Every coefficient costs one multiply, zero included: a
+/// caller that wants to skip zeros passes only the nonzero support.  dst
+/// must not overlap a source.
 void dot_prod_region(std::span<const Byte> coeffs,
                      std::span<const Byte* const> srcs, Byte* dst,
                      std::size_t n);
+
+/// dsts[r] = sum_i coeffs[r * srcs.size() + i] * srcs[i] over n bytes for
+/// every output r — the gf_Nvect_dot_prod analogue.  coeffs is row-major,
+/// dsts.size() x srcs.size() (std::invalid_argument otherwise).  No
+/// destination may overlap a source or another destination.
+void dot_prod_regions(std::span<const Byte> coeffs,
+                      std::span<const Byte* const> srcs,
+                      std::span<Byte* const> dsts, std::size_t n);
 
 }  // namespace carousel::gf
 

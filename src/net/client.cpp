@@ -1,6 +1,7 @@
 #include "net/client.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -94,7 +95,8 @@ void Client::backoff(int attempt,
 }
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call(
-    Op op, const std::vector<std::uint8_t>& payload, CallOpts opts) {
+    Op op, std::span<const std::uint8_t> head, CallOpts opts,
+    std::span<const std::uint8_t> tail) {
   using clock = std::chrono::steady_clock;
   obs::ScopedTimer timer(*op_seconds_[static_cast<std::size_t>(op)]);
   const auto deadline = policy_.op_deadline.count() > 0
@@ -113,7 +115,7 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
       ensure_connected(deadline);
       std::uint32_t declared = 0;
       auto [status, body] =
-          call_once(op, payload, opts.checksummed ? &declared : nullptr);
+          call_once(op, head, tail, opts.checksummed ? &declared : nullptr);
       if (status == Status::kError)
         throw ServerError("server error: " +
                           std::string(body.begin(), body.end()));
@@ -169,12 +171,15 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
 }
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
-    Op op, const std::vector<std::uint8_t>& payload, std::uint32_t* crc) {
-  std::uint8_t op_raw = static_cast<std::uint8_t>(op);
-  std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  conn_.send_all(&op_raw, 1);
-  conn_.send_all(&len, 4);
-  if (len) conn_.send_all(payload.data(), len);
+    Op op, std::span<const std::uint8_t> head,
+    std::span<const std::uint8_t> tail, std::uint32_t* crc) {
+  // Frame: op byte, u32 payload length (host order, as the server reads
+  // it), payload.
+  std::uint8_t frame[5];
+  frame[0] = static_cast<std::uint8_t>(op);
+  const auto len = static_cast<std::uint32_t>(head.size() + tail.size());
+  std::memcpy(frame + 1, &len, sizeof len);
+  conn_.send_all({frame, head, tail});
 
   std::uint8_t status_raw;
   if (!conn_.recv_all(&status_raw, 1))
@@ -213,8 +218,7 @@ void Client::put(const BlockKey& key, std::span<const std::uint8_t> bytes) {
   Writer w;
   w.key(key);
   w.u32(util::crc32(bytes));
-  w.bytes(bytes);
-  call(Op::kPut, w.data(), {.corrupt_retryable = true});
+  call(Op::kPut, w.data(), {.corrupt_retryable = true}, bytes);
 }
 
 std::optional<std::vector<std::uint8_t>> Client::get(const BlockKey& key) {

@@ -144,16 +144,20 @@ class Client {
   };
   /// Runs one operation under the retry policy; see the header comment for
   /// the full classification.
+  /// The request payload is `head` followed by `tail`, sent without
+  /// joining them (a PUT's tail is the caller's block).
   std::pair<Status, std::vector<std::uint8_t>> call(
-      Op op, const std::vector<std::uint8_t>& payload, CallOpts opts);
+      Op op, std::span<const std::uint8_t> head, CallOpts opts,
+      std::span<const std::uint8_t> tail = {});
   std::pair<Status, std::vector<std::uint8_t>> call(
-      Op op, const std::vector<std::uint8_t>& payload) {
-    return call(op, payload, CallOpts{});
+      Op op, std::span<const std::uint8_t> head) {
+    return call(op, head, CallOpts{});
   }
   /// One request/response exchange.  With `crc` set, a kOk response is
   /// checksummed: its leading u32 goes to *crc and the rest to the body.
   std::pair<Status, std::vector<std::uint8_t>> call_once(
-      Op op, const std::vector<std::uint8_t>& payload, std::uint32_t* crc);
+      Op op, std::span<const std::uint8_t> head,
+      std::span<const std::uint8_t> tail, std::uint32_t* crc);
   /// Opens the connection if needed.  The connect attempt is bounded by the
   /// per-attempt io_timeout AND the remaining op deadline, whichever is
   /// tighter; throws DeadlineError when the deadline is already spent.

@@ -52,19 +52,26 @@ std::optional<std::vector<std::uint8_t>> read_file(const fs::path& path) {
 }
 
 void write_file(const fs::path& path, std::span<const std::uint8_t> bytes) {
+  write_file(path, {bytes});
+}
+
+void write_file(const fs::path& path,
+                std::initializer_list<std::span<const std::uint8_t>> parts) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,  // NOLINT(cppcoreguidelines-pro-type-vararg)
                   0644);
   if (fd < 0) throw_errno("open", path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      const int err = errno;
-      ::close(fd);
-      errno = err;
-      throw_errno("write", path);
+  for (std::span<const std::uint8_t> bytes : parts) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (w < 0) {
+        const int err = errno;
+        ::close(fd);
+        errno = err;
+        throw_errno("write", path);
+      }
+      off += static_cast<std::size_t>(w);
     }
-    off += static_cast<std::size_t>(w);
   }
   if (::close(fd) != 0) throw_errno("close", path);
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,6 +33,9 @@ std::optional<std::vector<std::uint8_t>> read_file(
 /// Creates or truncates `path` and writes all of `bytes` (no fsync).
 void write_file(const std::filesystem::path& path,
                 std::span<const std::uint8_t> bytes);
+/// Same, with the file's content given as parts written back to back.
+void write_file(const std::filesystem::path& path,
+                std::initializer_list<std::span<const std::uint8_t>> parts);
 
 /// fsyncs one file's bytes, then counts the fsync in `fsyncs`.
 void flush_file(const std::filesystem::path& path, obs::Counter& fsyncs);

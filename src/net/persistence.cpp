@@ -22,20 +22,28 @@ namespace {
 // Commit-record layout (little-endian, written with the wire Writer):
 //   u32 magic, key (3 x u32), u64 payload length, u32 payload CRC-32,
 //   u32 CRC-32 of the preceding 28 bytes.
-constexpr std::uint32_t kMetaMagic = 0x314D4243;  // "CBM1"
-constexpr std::size_t kMetaBytes = 32;
+// Format v2 appends it to the payload as a trailer under kRecordMagic;
+// format v1 kept it in a `.meta` file of its own under kLegacyMagic.
+constexpr std::uint32_t kRecordMagic = 0x324D4243;  // "CBM2"
+constexpr std::uint32_t kLegacyMagic = 0x314D4243;  // "CBM1"
+constexpr std::size_t kRecordBytes = 32;
 
-struct MetaRecord {
+constexpr const char* kBlockExt = ".blk2";     // v2: payload + trailer
+constexpr const char* kLegacyBlkExt = ".blk";  // v1: payload
+constexpr const char* kLegacyMetaExt = ".meta";  // v1: commit record
+
+struct CommitRecord {
   BlockKey key;
   std::uint64_t payload_len = 0;
   std::uint32_t payload_crc = 0;
 };
 
-std::vector<std::uint8_t> serialize_meta(const BlockKey& key,
-                                         std::uint64_t payload_len,
-                                         std::uint32_t payload_crc) {
+std::vector<std::uint8_t> serialize_record(std::uint32_t magic,
+                                           const BlockKey& key,
+                                           std::uint64_t payload_len,
+                                           std::uint32_t payload_crc) {
   Writer w;
-  w.u32(kMetaMagic);
+  w.u32(magic);
   w.key(key);
   w.u64(payload_len);
   w.u32(payload_crc);
@@ -43,14 +51,15 @@ std::vector<std::uint8_t> serialize_meta(const BlockKey& key,
   return w.data();
 }
 
-std::optional<MetaRecord> parse_meta(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() != kMetaBytes) return std::nullopt;
-  if (util::crc32(bytes.first(kMetaBytes - 4)) !=
-      Reader(bytes.subspan(kMetaBytes - 4)).u32())
+std::optional<CommitRecord> parse_record(std::uint32_t magic,
+                                         std::span<const std::uint8_t> bytes) {
+  if (bytes.size() != kRecordBytes) return std::nullopt;
+  if (util::crc32(bytes.first(kRecordBytes - 4)) !=
+      Reader(bytes.subspan(kRecordBytes - 4)).u32())
     return std::nullopt;
   Reader r(bytes);
-  if (r.u32() != kMetaMagic) return std::nullopt;
-  MetaRecord rec;
+  if (r.u32() != magic) return std::nullopt;
+  CommitRecord rec;
   rec.key = r.key();
   rec.payload_len = r.u64();
   rec.payload_crc = r.u32();
@@ -69,6 +78,7 @@ std::string RecoveryReport::to_string() const {
   out << "  orphaned payloads:  " << orphaned_payloads << "\n";
   out << "  duplicate files:    " << duplicates << "\n";
   out << "  stale temp files:   " << stale_temps << "\n";
+  out << "  migrated from v1:   " << migrated << "\n";
   out << "  damaged keys:      ";
   if (damaged.empty()) out << " none";
   for (const BlockKey& k : damaged)
@@ -134,47 +144,49 @@ void PersistentBlockStore::publish(const fs::path& from,
     throw fs::filesystem_error("rename", from, to, ec);
 }
 
+fs::path PersistentBlockStore::path_of(const BlockKey& key) const {
+  return dir_ / (stem_of(key) + kBlockExt);
+}
+
+fs::path PersistentBlockStore::write_temp(const BlockKey& key,
+                                          std::span<const std::uint8_t> payload,
+                                          std::uint64_t claimed_len,
+                                          std::uint32_t crc) const {
+  const fs::path tmp = path_of(key).string() + ".tmp";
+  durable::write_file(
+      tmp, {payload, serialize_record(kRecordMagic, key, claimed_len, crc)});
+  return tmp;
+}
+
 bool PersistentBlockStore::put(const BlockKey& key,
                                std::span<const std::uint8_t> bytes,
                                std::uint32_t crc, CrashPoint crash) {
-  const std::string stem = stem_of(key);
-  const fs::path blk = dir_ / (stem + ".blk");
-  const fs::path meta = dir_ / (stem + ".meta");
-  const fs::path blk_tmp = dir_ / (stem + ".blk.tmp");
-  const fs::path meta_tmp = dir_ / (stem + ".meta.tmp");
-
+  const std::span<const std::uint8_t> half = bytes.first(bytes.size() / 2);
   if (crash == CrashPoint::kBeforeFsync) {
     // Power died mid-write: half the payload reached the page cache, no
     // flush, no publication.  Only a stale temp file survives.
-    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
+    durable::write_file(path_of(key).string() + ".tmp", half);
     return false;
   }
   if (crash == CrashPoint::kBeforeRename) {
-    // The payload is durable in the temp file but was never published; the
-    // block as named never changed.  Recovery discards the temp.
-    durable::write_file(blk_tmp, bytes);
-    flush_file(blk_tmp);
+    // The whole record is durable in the temp file but was never published;
+    // the block as named never changed.  Recovery discards the temp.
+    flush_file(write_temp(key, bytes, bytes.size(), crc));
     return false;
   }
   if (crash == CrashPoint::kTornWrite) {
-    // A truncated payload gets published together with a full-length commit
-    // record — what a disk that acknowledged unwritten sectors leaves
-    // behind.  Recovery must catch the length mismatch and quarantine.
-    durable::write_file(blk_tmp, bytes.first(bytes.size() / 2));
-    publish(blk_tmp, blk);
-    durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
-    publish(meta_tmp, meta);
+    // A truncated payload gets published under a full-length trailer — what
+    // a disk that acknowledged unwritten sectors leaves behind.  Recovery
+    // must catch the length mismatch and quarantine.
+    publish(write_temp(key, half, bytes.size(), crc), path_of(key));
     flush_dir(dir_);
     return false;
   }
 
-  // Payload first, commit record second: a crash between the two leaves an
-  // orphaned payload (quarantined, not trusted), never a record that
-  // promises bytes which were lost.
-  durable::write_file(blk_tmp, bytes);
-  publish(blk_tmp, blk);
-  durable::write_file(meta_tmp, serialize_meta(key, bytes.size(), crc));
-  publish(meta_tmp, meta);
+  // One file, published by one rename: payload and trailer become visible
+  // together or not at all, and the directory fsync makes the name durable
+  // before the PUT is acknowledged.
+  publish(write_temp(key, bytes, bytes.size(), crc), path_of(key));
   flush_dir(dir_);
   commits_->inc();
   bytes_written_->inc(bytes.size());
@@ -182,23 +194,18 @@ bool PersistentBlockStore::put(const BlockKey& key,
 }
 
 bool PersistentBlockStore::erase(const BlockKey& key) {
-  const std::string stem = stem_of(key);
   std::error_code ec;
-  // Commit record first: an erase interrupted between the two unlinks
-  // leaves an orphaned payload, which recovery quarantines — never a
-  // record claiming a block that is half-deleted.
-  const bool had_meta = fs::remove(dir_ / (stem + ".meta"), ec);
-  const bool had_blk = fs::remove(dir_ / (stem + ".blk"), ec);
-  if (had_meta || had_blk) flush_dir(dir_);
-  return had_meta || had_blk;
+  const bool had = fs::remove(path_of(key), ec);
+  if (had) flush_dir(dir_);
+  return had;
 }
 
 bool PersistentBlockStore::corrupt_at_rest(const BlockKey& key,
                                            std::size_t offset) {
-  const fs::path blk = dir_ / (stem_of(key) + ".blk");
-  int fd = ::open(blk.c_str(), O_RDWR | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
+  const fs::path file = path_of(key);
+  int fd = ::open(file.c_str(), O_RDWR | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg)
   if (fd < 0) return false;
-  const off_t size = ::lseek(fd, 0, SEEK_END);
+  const off_t size = ::lseek(fd, 0, SEEK_END) - off_t{kRecordBytes};
   if (size <= 0) {
     ::close(fd);
     return false;
@@ -233,8 +240,9 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
 
   // Classify directory entries.  std::set iteration gives a deterministic
   // (lexicographic) processing order, so duplicate claims on one key always
-  // resolve the same way: the first intact pair wins.
+  // resolve the same way.
   std::vector<fs::path> temps;
+  std::set<std::string> block_stems;
   std::set<std::string> meta_stems;
   std::set<std::string> blk_stems;
   for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -242,9 +250,11 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
     const fs::path& p = entry.path();
     if (p.extension() == ".tmp")
       temps.push_back(p);
-    else if (p.extension() == ".meta")
+    else if (p.extension() == kBlockExt)
+      block_stems.insert(p.stem().string());
+    else if (p.extension() == kLegacyMetaExt)
       meta_stems.insert(p.stem().string());
-    else if (p.extension() == ".blk")
+    else if (p.extension() == kLegacyBlkExt)
       blk_stems.insert(p.stem().string());
     // Anything else in the directory is not ours; leave it alone.
   }
@@ -263,14 +273,53 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
     if (key) report.damaged.push_back(*key);
   };
 
+  // v2 files first: where an interrupted migration left a key in both
+  // formats, the v2 file wins.
+  for (const std::string& stem : block_stems) {
+    const fs::path path = dir_ / (stem + kBlockExt);
+    const std::optional<BlockKey> key = parse_stem(stem);
+    auto bytes = durable::read_file(path);
+    std::optional<CommitRecord> rec;
+    if (bytes && bytes->size() >= kRecordBytes)
+      rec = parse_record(kRecordMagic,
+                         std::span(*bytes).last(kRecordBytes));
+    // The trailer must parse, name this file's own key and match the
+    // payload's length; otherwise the file is torn (or a stray copy under
+    // another name) and its payload cannot be trusted.
+    if (!rec || !key || rec->key != *key ||
+        rec->payload_len != bytes->size() - kRecordBytes) {
+      ++report.torn_payloads;
+      mark_damaged(key);
+      quarantine(path, report);
+      continue;
+    }
+    bytes->resize(bytes->size() - kRecordBytes);
+    if (util::crc32(*bytes) != rec->payload_crc) {
+      ++report.crc_mismatches;
+      report.damaged.push_back(*key);
+      quarantine(path, report);
+      continue;
+    }
+    loaded.insert(*key);
+    ++report.recovered;
+    if (out) out->push_back({*key, std::move(*bytes), rec->payload_crc});
+  }
+
+  // v1 pairs, classified as format v1 always was.  Intact ones are
+  // migrated below; the rest are quarantined here.
+  struct Legacy {
+    std::string stem;
+    CommitRecord rec;
+  };
+  std::vector<Legacy> migrate;
   for (const std::string& stem : meta_stems) {
-    const fs::path meta_p = dir_ / (stem + ".meta");
-    const fs::path blk_p = dir_ / (stem + ".blk");
+    const fs::path meta_p = dir_ / (stem + kLegacyMetaExt);
+    const fs::path blk_p = dir_ / (stem + kLegacyBlkExt);
     const bool have_blk = blk_stems.erase(stem) > 0;
 
     auto meta_bytes = durable::read_file(meta_p);
-    const std::optional<MetaRecord> rec =
-        meta_bytes ? parse_meta(*meta_bytes) : std::nullopt;
+    const std::optional<CommitRecord> rec =
+        meta_bytes ? parse_record(kLegacyMagic, *meta_bytes) : std::nullopt;
     if (!rec) {
       // The commit record itself is torn or unreadable; without it the
       // payload cannot be trusted either.
@@ -302,26 +351,52 @@ RecoveryReport PersistentBlockStore::recover(std::vector<RecoveredBlock>* out) {
       continue;
     }
     if (!loaded.insert(rec->key).second) {
-      // A second intact pair claiming an already-loaded key (a stray copy):
-      // the lexicographically first one won; move this one aside.
+      // A second intact claim on an already-loaded key (a stray copy, or
+      // the pair an interrupted migration already rewrote as v2): the v2
+      // file or the lexicographically first pair won; move this one aside.
       ++report.duplicates;
       quarantine(blk_p, report);
       quarantine(meta_p, report);
       continue;
     }
+    // Migrate through the PUT's crash-atomic path: the v2 file is published
+    // before the pair is touched, so a crash at any point leaves either the
+    // pair, or the v2 file (plus a pair that the next scan quarantines as
+    // its duplicate).
+    publish(write_temp(rec->key, *payload, rec->payload_len, rec->payload_crc),
+            path_of(rec->key));
     ++report.recovered;
+    ++report.migrated;
+    migrate.push_back({stem, *rec});
     if (out) out->push_back({rec->key, std::move(*payload), rec->payload_crc});
   }
-
-  // Payloads without a commit record: the write never committed (or an
-  // erase was interrupted after the record was removed).  Untrusted.
-  for (const std::string& stem : blk_stems) {
-    ++report.orphaned_payloads;
-    mark_damaged(parse_stem(stem));
-    quarantine(dir_ / (stem + ".blk"), report);
+  if (!migrate.empty()) {
+    // The v2 names must be durable before any pair they replace is gone.
+    flush_dir(dir_);
+    std::error_code ec;
+    for (const Legacy& l : migrate) {
+      // Record first: an interrupted removal leaves a payload whose key is
+      // already loaded, which the next scan quarantines as a duplicate.
+      fs::remove(dir_ / (l.stem + kLegacyMetaExt), ec);
+      fs::remove(dir_ / (l.stem + kLegacyBlkExt), ec);
+    }
   }
 
-  if (report.quarantined_files > 0) flush_dir(dir_);
+  // v1 payloads without a commit record: the write never committed (or an
+  // erase was interrupted after the record was removed).  Untrusted — unless
+  // its key already loaded, in which case it is a leftover of a migration.
+  for (const std::string& stem : blk_stems) {
+    const std::optional<BlockKey> key = parse_stem(stem);
+    if (key && loaded.contains(*key)) {
+      ++report.duplicates;
+    } else {
+      ++report.orphaned_payloads;
+      mark_damaged(key);
+    }
+    quarantine(dir_ / (stem + kLegacyBlkExt), report);
+  }
+
+  if (report.quarantined_files > 0 || !migrate.empty()) flush_dir(dir_);
 
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -1,22 +1,32 @@
 // Crash-consistent on-disk backend for the block server.
 //
-// A PersistentBlockStore owns one data directory and keeps each block as a
-// pair of files named after its key (stem `b<file>_<stripe>_<index>`):
+// A PersistentBlockStore owns one data directory and keeps each block as one
+// file named after its key (stem `b<file>_<stripe>_<index>`), on-disk
+// format v2:
 //
-//   <stem>.blk    the payload, byte-for-byte what the client PUT
-//   <stem>.meta   a fixed-size commit record: magic, key, payload length,
-//                 payload CRC-32, and a CRC-32 of the record itself
+//   <stem>.blk2   the payload, byte-for-byte what the client PUT, followed
+//                 by a 32-byte commit-record trailer: magic "CBM2", key,
+//                 payload length, payload CRC-32, and a CRC-32 of the
+//                 trailer itself
 //
-// Every write is published crash-atomically: bytes go to a `.tmp` file,
-// which is fsynced and then renamed over the final name, and the directory
-// entry is fsynced last.  The `.meta` record is written after its payload,
-// so a block only counts as committed once an intact record names an intact
-// payload — every prefix of the write sequence is a state the recovery scan
-// classifies deterministically (DESIGN.md "Durability & crash consistency").
+// A PUT is published crash-atomically with two fsyncs: the bytes go to a
+// `.tmp` file, which is fsynced and then renamed over the final name, and
+// the directory entry is fsynced last.  Payload and trailer become visible
+// in one rename, so a block counts as committed exactly when its file holds
+// an intact trailer that names the file's own key and describes the bytes
+// before it — every prefix of the write sequence is a state the recovery
+// scan classifies deterministically (DESIGN.md "Durability & crash
+// consistency").
+//
+// Format v1 kept each block as a pair, `<stem>.blk` (payload) and
+// `<stem>.meta` (the same record under magic "CBM1").  recover() still reads
+// it: each intact pair is rewritten as a v2 file through the PUT's
+// crash-atomic path and the pair removed, so put() and erase() only ever
+// see v2.  Where an interrupted migration left both, the v2 file wins.
 //
 // recover() replays that classification over a directory as found after a
-// crash: intact pairs load, everything else (stale temps, torn or
-// CRC-mismatched payloads, orphaned halves, duplicate claims on one key) is
+// crash: intact blocks load, everything else (stale temps, torn or
+// CRC-mismatched files, orphaned v1 halves, duplicate claims on one key) is
 // moved — never deleted — into `quarantine/`, and the damaged keys are
 // reported so the owning BlockServer answers kCorrupt for them until the
 // scrubber re-uploads a rebuilt copy at the code's optimal repair traffic.
@@ -52,24 +62,26 @@ enum class CrashPoint : std::uint8_t {
   /// Crash after the temp file was flushed but before the rename published
   /// it.  Indistinguishable from kBeforeFsync to recovery: a stale temp.
   kBeforeRename,
-  /// Torn write: a truncated payload is published together with a
-  /// full-length commit record — the state a lying disk cache leaves.
-  /// Recovery must quarantine the pair and report the key as damaged.
+  /// Torn write: a truncated payload is published under a full-length
+  /// commit-record trailer — the state a lying disk cache leaves.  Recovery
+  /// must quarantine the file and report the key as damaged.
   kTornWrite,
 };
 
 /// Outcome of one recovery scan.  `quarantined_files` counts files moved
-/// into quarantine/; the per-cause counters classify why (one damaged block
-/// usually quarantines two files, payload and record).
+/// into quarantine/; the per-cause counters classify why (one damaged v1
+/// block usually quarantines two files, payload and record).
 struct RecoveryReport {
   std::uint64_t recovered = 0;          // intact blocks loaded
   std::uint64_t quarantined_files = 0;  // files moved to quarantine/
-  std::uint64_t torn_payloads = 0;      // payload length != commit record
+  std::uint64_t torn_payloads = 0;      // record unreadable, names another
+                                        // key, or length != payload
   std::uint64_t crc_mismatches = 0;     // payload bytes fail the record's CRC
-  std::uint64_t orphaned_metas = 0;     // commit record naming a missing payload
-  std::uint64_t orphaned_payloads = 0;  // payload without a commit record
-  std::uint64_t duplicates = 0;         // extra file pairs claiming a loaded key
+  std::uint64_t orphaned_metas = 0;     // v1 record naming a missing payload
+  std::uint64_t orphaned_payloads = 0;  // v1 payload without a commit record
+  std::uint64_t duplicates = 0;         // extra v1 files claiming a loaded key
   std::uint64_t stale_temps = 0;        // *.tmp files a crash left behind
+  std::uint64_t migrated = 0;           // intact v1 pairs rewritten as v2
   double seconds = 0.0;
   /// Keys whose stored copy was lost to quarantine: the server answers
   /// kCorrupt for them so the scrubber repairs instead of ignoring them.
@@ -106,22 +118,21 @@ class PersistentBlockStore {
   /// non-null), quarantines everything else and returns the classification.
   RecoveryReport recover(std::vector<RecoveredBlock>* out = nullptr);
 
-  /// Crash-atomic write of one block (temp file -> fsync -> rename, payload
-  /// before commit record).  Returns true when the block committed; false
-  /// when `crash` cut the sequence first, leaving that crash point's on-disk
+  /// Crash-atomic write of one block (temp file -> fsync -> rename ->
+  /// directory fsync).  Returns true when the block committed; false when
+  /// `crash` cut the sequence first, leaving that crash point's on-disk
   /// state behind.  Throws on real I/O failure.
   bool put(const BlockKey& key, std::span<const std::uint8_t> bytes,
            std::uint32_t crc, CrashPoint crash = CrashPoint::kNone);
 
-  /// Removes a block's files, commit record first (so an interrupted erase
-  /// leaves an orphaned payload, never a record naming nothing).  Returns
-  /// false when no file for the key existed.
+  /// Removes a block's file and fsyncs the directory.  Returns false when no
+  /// file for the key existed.
   bool erase(const BlockKey& key);
 
   /// Test hook: flips one payload byte on disk at `offset` (mod payload
-  /// size) without touching the commit record — at-rest rot that must
-  /// surface as a CRC mismatch on the next recovery scan.  Returns false
-  /// when the payload file is missing or empty.
+  /// size) without touching the commit-record trailer — at-rest rot that
+  /// must surface as a CRC mismatch on the next recovery scan.  Returns
+  /// false when the block's file is missing or its payload empty.
   bool corrupt_at_rest(const BlockKey& key, std::size_t offset);
 
   /// Fsyncs the data directory entry itself.  Every put() already flushed
@@ -148,6 +159,14 @@ class PersistentBlockStore {
   void publish(const std::filesystem::path& from,
                const std::filesystem::path& to) const;
   void quarantine(const std::filesystem::path& path, RecoveryReport& report);
+  /// The v2 file of a key.
+  std::filesystem::path path_of(const BlockKey& key) const;
+  /// Writes payload + a trailer claiming `claimed_len` payload bytes to the
+  /// key's temp file (no fsync) and returns the temp's path.
+  std::filesystem::path write_temp(const BlockKey& key,
+                                   std::span<const std::uint8_t> payload,
+                                   std::uint64_t claimed_len,
+                                   std::uint32_t crc) const;
 
   std::filesystem::path dir_;
   Options options_;

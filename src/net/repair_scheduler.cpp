@@ -268,6 +268,11 @@ void RepairScheduler::finish(const WorkItem& item, bool ok,
   work_cv_.notify_all();
 }
 
+bool RepairScheduler::server_dead(std::size_t server) const {
+  return options_.monitor != nullptr &&
+         options_.monitor->state_of(server) == ServerState::kDead;
+}
+
 std::vector<std::size_t> RepairScheduler::select_helpers(
     const std::vector<CarouselStore::HelperCandidate>& candidates,
     std::size_t want, std::size_t bytes_per_helper) {

@@ -217,6 +217,10 @@ class RepairScheduler {
   std::vector<std::size_t> select_helpers(
       const std::vector<CarouselStore::HelperCandidate>& candidates,
       std::size_t want, std::size_t bytes_per_helper) EXCLUDES(mu_);
+  /// True when Options::monitor has declared `server` kDead (false without
+  /// a monitor).  The store asks under its own mutex while choosing new
+  /// homes; this takes only the monitor's mutex, never mu_.
+  bool server_dead(std::size_t server) const;
   /// Charges one repair transfer to the current window: helper egress at
   /// PROJECT/GET time, newcomer ingress at re-upload.  Called under the
   /// store's mutex, like select_helpers().

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -122,17 +123,42 @@ TcpConn TcpConn::connect(std::uint16_t port,
 }
 
 void TcpConn::send_all(const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
+  send_all({{static_cast<const std::uint8_t*>(data), n}});
+}
+
+void TcpConn::send_all(
+    std::initializer_list<std::span<const std::uint8_t>> parts) {
+  if (parts.size() > kMaxSendParts)
+    throw std::invalid_argument("send_all: too many parts");
+  iovec iov[kMaxSendParts];
+  std::size_t count = 0;
+  for (std::span<const std::uint8_t> part : parts)
+    if (!part.empty())
+      // sendmsg only reads through iov_base; iovec just lacks the const.
+      iov[count++] = {const_cast<std::uint8_t*>(part.data()), part.size()};  // NOLINT(cppcoreguidelines-pro-type-const-cast)
+  iovec* next = iov;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       throw_errno("send");
     }
     if (w == 0) throw TransportError("send: peer closed");
-    p += w;
-    n -= static_cast<std::size_t>(w);
     sent_.fetch_add(static_cast<std::uint64_t>(w), std::memory_order_relaxed);
+    // Step past what went out: whole parts first, then into a partial one.
+    auto left = static_cast<std::size_t>(w);
+    while (count > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
   }
 }
 

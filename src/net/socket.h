@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 
 namespace carousel::net {
@@ -53,6 +55,11 @@ class TcpConn {
   /// Sends exactly n bytes; throws TransportError (TimeoutError if the send
   /// timeout fired) on error or peer close.
   void send_all(const void* data, std::size_t n);
+  /// Sends every part, back to back, with scatter-gather sendmsg calls (no
+  /// copy into one buffer); at most kMaxSendParts parts.  Errors as
+  /// send_all(data, n).
+  static constexpr std::size_t kMaxSendParts = 4;
+  void send_all(std::initializer_list<std::span<const std::uint8_t>> parts);
   /// Receives exactly n bytes; throws TransportError (TimeoutError if the
   /// recv timeout fired) on error; returns false on clean EOF at a message
   /// boundary (n bytes requested, zero received).

@@ -410,6 +410,12 @@ std::vector<std::size_t> CarouselStore::placement_candidates_locked(
     if (home < servers_.size()) ++held[home];
   }
   const std::size_t current = home_of_locked(file_id, stripe, index);
+  // The monitor's dead verdicts; the scheduler reads them under the
+  // monitor's own mutex, which ranks after mu_.
+  std::vector<bool> dead(servers_.size(), false);
+  if (scheduler_ != nullptr)
+    for (std::size_t id = 0; id < servers_.size(); ++id)
+      dead[id] = scheduler_->server_dead(id);
   // Tiers 0/1: servers free of the stripe (or MDS durability would
   // concentrate two erasure domains on one box), spares first — that is
   // what they were registered for — and never past the domain cap.
@@ -417,7 +423,8 @@ std::vector<std::size_t> CarouselStore::placement_candidates_locked(
   for (bool want_spare : {true, false})
     for (std::size_t id = 0; id < servers_.size(); ++id)
       if (servers_[id]->spare == want_spare && held[id] == 0 &&
-          id != current && domain_fits_locked(id, file_id, stripe, index))
+          id != current && !dead[id] &&
+          domain_fits_locked(id, file_id, stripe, index))
         out.push_back(id);
   if (!explicit_domains_) return out;
   // Tier 2, explicit domains only: stack on a survivor already holding
@@ -427,7 +434,7 @@ std::vector<std::size_t> CarouselStore::placement_candidates_locked(
   // domain stays within n-k.
   std::vector<std::size_t> stacked;
   for (std::size_t id = 0; id < servers_.size(); ++id)
-    if (held[id] > 0 && id != current &&
+    if (held[id] > 0 && id != current && !dead[id] &&
         domain_fits_locked(id, file_id, stripe, index))
       stacked.push_back(id);
   std::stable_sort(

@@ -472,7 +472,10 @@ class CarouselStore {
   /// tier 1: non-spares holding none (both ascending id).  Tier 2 — only
   /// for stores with explicit domains — servers already holding stripe
   /// blocks, least-loaded first, so a whole-rack loss can re-protect by
-  /// stacking on survivors while their domains stay within the cap.
+  /// stacking on survivors while their domains stay within the cap.  With a
+  /// RepairScheduler attached, servers its HealthMonitor has declared dead
+  /// are never candidates: a dead server's port, once free, may be bound by
+  /// any other process, which would then be handed the block.
   std::vector<std::size_t> placement_candidates_locked(
       std::uint32_t file_id, std::uint32_t stripe, std::uint32_t index) const
       REQUIRES(mu_);

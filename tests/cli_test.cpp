@@ -183,7 +183,8 @@ TEST_F(CliTest, RunDispatchesAndValidates) {
 
 TEST_F(CliTest, RecoverCommandScansAndQuarantines) {
   // Build a block-server data directory by hand: one intact block, one torn
-  // write (truncated payload under a full-length commit record).
+  // write (truncated payload under a full-length commit-record trailer, one
+  // file in format v2).
   namespace cnet = carousel::net;
   fs::path store_dir = dir_ / "store";
   {
@@ -198,7 +199,7 @@ TEST_F(CliTest, RecoverCommandScansAndQuarantines) {
   }
   std::string report = recover_store(store_dir);
   EXPECT_NE(report.find("recovered 1 intact block(s)"), std::string::npos);
-  EXPECT_NE(report.find("quarantined 2 file(s)"), std::string::npos);
+  EXPECT_NE(report.find("quarantined 1 file(s)"), std::string::npos);
   EXPECT_NE(report.find("torn payloads:      1"), std::string::npos);
 
   // The command is idempotent: a second scan finds a clean directory.

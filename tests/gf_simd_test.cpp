@@ -1,8 +1,13 @@
 // Cross-backend equivalence tests for the GF(2^8) region kernels: the AVX2
-// shuffle and GFNI affine kernels must agree with the scalar full-table
-// backend bit-for-bit on every coefficient, size and alignment.
+// shuffle and GFNI affine kernels, single-source and fused dot product
+// alike, must agree with the scalar full-table backend bit-for-bit on every
+// coefficient, size and alignment.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <stdexcept>
 
 #include "gf/backend.h"
 #include "gf/vect.h"
@@ -124,6 +129,91 @@ TEST_P(BackendEquivalence, DotProdMatchesScalarBackend) {
     dot_prod_region(coeffs, ptrs, want.data(), n);
   }
   EXPECT_EQ(got, want);
+}
+
+// One fused dot-product case: `rows` outputs over `nsrc` sources of n bytes.
+// Every source and output sits at its own unaligned offset and ends exactly
+// at the end of its allocation, so a kernel that reads or writes one byte
+// past a region trips ASan.  Coefficients include zeros and ones.  The
+// reference is the scalar backend's summed mul_add_region passes.
+void check_dot_prods(std::size_t n, std::size_t nsrc, std::size_t rows,
+                     std::uint32_t seed) {
+  std::vector<std::vector<Byte>> src_bufs;
+  std::vector<const Byte*> srcs;
+  for (std::size_t s = 0; s < nsrc; ++s) {
+    const std::size_t off = (7 * s + n) % 32;
+    src_bufs.push_back(test::random_bytes(off + n, seed + 1 + s));
+    srcs.push_back(src_bufs.back().data() + off);
+  }
+  std::vector<Byte> coeffs = test::random_bytes(rows * nsrc, seed);
+  for (std::size_t j = 0; j < coeffs.size(); ++j) {
+    if (j % 5 == 0) coeffs[j] = 0;
+    if (j % 5 == 1) coeffs[j] = 1;
+  }
+  constexpr Byte kSentinel = 0xE7;
+  std::vector<std::vector<Byte>> dst_bufs;
+  std::vector<Byte*> dsts;
+  std::vector<std::size_t> offs;
+  for (std::size_t r = 0; r < rows; ++r) {
+    offs.push_back((5 * r + 3 * n + 1) % 32);
+    dst_bufs.emplace_back(offs.back() + n, kSentinel);
+    dsts.push_back(dst_bufs.back().data() + offs.back());
+  }
+  dot_prod_regions(coeffs, srcs, dsts, n);
+
+  std::vector<Byte> single(n, kSentinel);
+  dot_prod_region(std::span(coeffs).first(nsrc), srcs, single.data(), n);
+
+  ScopedBackend scalar(Backend::kScalar);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<Byte> want(n, 0);
+    for (std::size_t s = 0; s < nsrc; ++s)
+      mul_add_region(coeffs[r * nsrc + s], srcs[s], want.data(), n);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), dsts[r]))
+        << "n=" << n << " sources=" << nsrc << " outputs=" << rows
+        << " row=" << r;
+    for (std::size_t i = 0; i < offs[r]; ++i)
+      ASSERT_EQ(dst_bufs[r][i], kSentinel) << "write before output " << r;
+    if (r == 0) {
+      ASSERT_EQ(single, want) << "dot_prod_region n=" << n
+                              << " sources=" << nsrc;
+    }
+  }
+}
+
+TEST_P(BackendEquivalence, FusedDotProdsEqualSummedMulAdd) {
+  // Every length around the 32- and 64-byte vector steps, each with a
+  // different source and output count.
+  for (std::size_t n = 0; n <= 300; ++n)
+    check_dot_prods(n, 1 + (n * 7) % 32, 1 + n % 4,
+                    static_cast<std::uint32_t>(n));
+  for (std::size_t nsrc = 1; nsrc <= 32; ++nsrc)
+    for (std::size_t rows = 1; rows <= 4; ++rows)
+      check_dot_prods(97, nsrc, rows,
+                      static_cast<std::uint32_t>(nsrc * 4 + rows));
+}
+
+TEST_P(BackendEquivalence, FusedDotProdsOnEncodeSizedRegions) {
+  // 64 KiB units, the size a 320 KiB block of the (12,6,10,10) code splits
+  // into, with up to nine outputs: more than two batches of
+  // kMaxDotProdRows, the last one short.
+  for (std::size_t rows : {1u, 4u, 9u})
+    for (std::size_t nsrc : {1u, 6u, 30u})
+      check_dot_prods(64 << 10, nsrc, rows,
+                      static_cast<std::uint32_t>(rows * 100 + nsrc));
+  // A length that leaves a scalar tail after the 64-byte steps.
+  check_dot_prods((64 << 10) + 37, 5, 6, 77);
+}
+
+TEST(DotProd, RejectsCoefficientCountMismatch) {
+  std::vector<Byte> a(64), b(64), out(64);
+  std::vector<const Byte*> srcs = {a.data(), b.data()};
+  std::vector<Byte*> dsts = {out.data()};
+  std::vector<Byte> coeffs = {1, 2, 3};
+  EXPECT_THROW(dot_prod_regions(coeffs, srcs, dsts, 64),
+               std::invalid_argument);
+  EXPECT_THROW(dot_prod_region(coeffs, srcs, out.data(), 64),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendEquivalence,

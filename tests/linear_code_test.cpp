@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "codes/carousel.h"
+#include "codes/msr.h"
 #include "codes/rs.h"
 #include "matrix/echelon.h"
 #include "test_util.h"
@@ -214,6 +215,41 @@ TEST(LinearCode, DecodeFromAvailableShapeErrors) {
     std::vector<std::span<const Byte>> chosen = {views[0], views[1], views[1]};
     EXPECT_THROW(c.decode_from_available(ids, chosen, out),
                  std::invalid_argument);
+  }
+}
+
+// The three encoders must agree byte for byte: encode() (rows grouped by
+// support through the multi-output kernel), encode_block() (one fused dot
+// product per unit over its support) and encode_block_dense() (every
+// generator entry, zeros included).  The Carousel cases have P > 1, so
+// their rows of different expansion coordinates fall in different groups.
+TEST(LinearCode, EncodeEncodeBlockAndDenseAreByteIdentical) {
+  const ReedSolomon rs(12, 6);
+  const ProductMatrixMSR msr(12, 6, 10);
+  const Carousel car_msr(12, 6, 10, 12);
+  const Carousel car_rs(8, 4, 4, 8);
+  for (const LinearCode* code :
+       std::initializer_list<const LinearCode*>{&rs, &msr, &car_msr, &car_rs}) {
+    if (const auto* c = dynamic_cast<const Carousel*>(code)) {
+      ASSERT_GT(c->expansion(), 1u);
+    }
+    for (std::size_t ub : {1u, 67u, 4096u + 5u}) {
+      const std::size_t w = code->s() * ub;
+      auto data = random_bytes(code->k() * w, static_cast<std::uint32_t>(ub));
+      std::vector<Byte> blob(code->n() * w);
+      code->encode(data, split_spans(blob, code->n()));
+      std::vector<Byte> sparse(w), dense(w);
+      for (std::size_t i = 0; i < code->n(); ++i) {
+        code->encode_block(i, data, sparse);
+        code->encode_block_dense(i, data, dense);
+        const auto stripe_block =
+            blob.begin() + static_cast<std::ptrdiff_t>(i * w);
+        EXPECT_TRUE(std::equal(sparse.begin(), sparse.end(), stripe_block))
+            << code->kind() << " ub=" << ub << " block " << i;
+        EXPECT_EQ(sparse, dense)
+            << code->kind() << " ub=" << ub << " block " << i;
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -50,6 +51,46 @@ TEST(Socket, ConnectSendReceive) {
   EXPECT_EQ(client.bytes_sent(), 5u);
   EXPECT_EQ(client.bytes_received(), 5u);
   server.join();
+}
+
+TEST(Socket, GatherSendKeepsPartOrderAcrossPartialWrites) {
+  // A blocking sendmsg returns short only when its send timeout fires with
+  // part of the data out.  A small send buffer, a send timeout and a reader
+  // that drains in small steps make that happen mid-part, several times;
+  // the reader must still see the parts back to back, empty ones skipped.
+  TcpListener listener = TcpListener::bind(0);
+  auto head = random_bytes(5, 1);
+  auto big = random_bytes(2 << 20, 2);
+  auto tail = random_bytes(7, 3);
+  std::vector<std::uint8_t> got(head.size() + big.size() + tail.size());
+  std::thread server([&] {
+    TcpConn c = listener.accept();
+    std::size_t off = 0;
+    while (off < got.size()) {
+      const std::size_t n = std::min<std::size_t>(4093, got.size() - off);
+      if (!c.recv_all(got.data() + off, n)) break;
+      off += n;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int sndbuf = 8 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  TcpConn client(fd);
+  client.set_io_timeout(std::chrono::milliseconds(50));
+  client.send_all({head, {}, big, tail});
+  server.join();
+  std::vector<std::uint8_t> want = head;
+  want.insert(want.end(), big.begin(), big.end());
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(client.bytes_sent(), want.size());
 }
 
 TEST(Socket, RecvAllReportsCleanEof) {

@@ -545,6 +545,39 @@ TEST_F(RepairSchedulerTest, ScrubberEnqueuesDeadHomesAsRehomes) {
   EXPECT_EQ(quiet.enqueued, 0u);
 }
 
+// A dead server's port can be bound again by any process, and whatever
+// answers there would pass the PUT and its VERIFY audit.  With the monitor
+// consulted, a rehome skips the spare it declared dead even though a
+// stranger now answers on that spare's port, and lands on the live spare.
+TEST_F(RepairSchedulerTest, RehomeSkipsServersTheMonitorDeclaredDead) {
+  make_fleet(8);
+  codes::Carousel code(6, 4, 4, 6);
+  const std::size_t block = code.s() * 8;
+  std::vector<std::uint16_t> base(ports_.begin(), ports_.begin() + 6);
+  CarouselStore store(code, base, block, opts());
+  const std::size_t dead_spare = store.add_server(ports_[6]);
+  const std::size_t live_spare = store.add_server(ports_[7]);
+  auto file = random_bytes(code.k() * block, 61);
+  store.put_file(1, file);
+  HealthMonitor monitor(store, fast_monitor());
+  RepairScheduler::Options ropts;
+  ropts.monitor = &monitor;
+  RepairScheduler sched(store, ropts);
+
+  kill(6);
+  monitor.probe_once();
+  monitor.probe_once();
+  ASSERT_EQ(monitor.state_of(dead_spare), ServerState::kDead);
+  BlockServer stranger(ports_[6]);  // the freed port, taken over
+
+  const std::size_t home = store.placement_of(1, 0, 2);
+  kill(home);
+  store.rehome_block(1, 0, 2);
+  EXPECT_EQ(store.placement_of(1, 0, 2), live_spare);
+  EXPECT_EQ(stranger.block_count(), 0u);
+  EXPECT_EQ(store.read_file(1, file.size()), file);
+}
+
 // ---- Shutdown discipline ---------------------------------------------------
 
 // Regression: stop() used to join the dispatcher handle outside the mutex,

@@ -5,7 +5,9 @@
 #      >=10k mutated frames against a live server);
 #   2. static analysis — tools/lint.sh (clang-tidy when installed, plus the
 #      repo-specific invariant lints in tools/check_invariants.py);
-#   3. the CRC-32 kernel sweep (16-byte loads near buffer ends), then the
+#   3. the CRC-32 kernel sweep (16-byte loads near buffer ends) and the GF
+#      kernel and codec tests (the fused dot products index across sources
+#      and outputs; every region ends at its allocation's end), then the
 #      networked fault-tolerance, observability, protocol-hardening,
 #      crash-persistence, metadata-journal and self-healing-cluster tests
 #      again under AddressSanitizer (abrupt server death, connection churn,
@@ -64,10 +66,14 @@ ctest --test-dir build --output-on-failure -j 8
 sh tools/lint.sh build
 
 cmake -B build-asan -S . -DCAROUSEL_SANITIZE=address
-cmake --build build-asan -j --target util_test net_test obs_test \
+cmake --build build-asan -j --target util_test gf_test gf_simd_test \
+  linear_code_test net_test obs_test \
   protocol_test protocol_fuzz_test persistence_test meta_log_test \
   cluster_test repair_scheduler_test property_test
 ./build-asan/tests/util_test
+./build-asan/tests/gf_test
+./build-asan/tests/gf_simd_test
+./build-asan/tests/linear_code_test
 ./build-asan/tests/net_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/protocol_test
