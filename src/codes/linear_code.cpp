@@ -200,24 +200,44 @@ IoStats LinearCode::decode_units(std::span<const UnitRef> units,
   }
   ins.decode_bytes_read->inc(stats.bytes_read);
 
-  // First copy verbatim message units (identity generator rows), then solve
-  // the rest through the inverse, skipping already-copied outputs.
+  // First copy verbatim message units (identity generator rows) — a unit
+  // that already sits at its output position (an in-place decode) is left
+  // alone — then solve the rest through the inverse.
   for (std::size_t i = 0; i < units.size(); ++i) {
     const auto& u = units[i];
     std::ptrdiff_t col = identity_col_[u.block * s_ + u.pos];
     if (col < 0) continue;
-    std::memcpy(data_out.data() + static_cast<std::size_t>(col) * unit_bytes,
-                u.bytes, unit_bytes);
+    Byte* dst = data_out.data() + static_cast<std::size_t>(col) * unit_bytes;
+    if (u.bytes != dst) std::memcpy(dst, u.bytes, unit_bytes);
     have[static_cast<std::size_t>(col)] = true;
   }
-  for (std::size_t msg = 0; msg < m; ++msg) {
-    if (have[msg]) continue;
-    Byte* dst = data_out.data() + msg * unit_bytes;
-    gf::zero_region(dst, unit_bytes);
-    for (std::size_t i = 0; i < m; ++i) {
-      Byte c = inv->at(msg, i);
-      if (c != 0) gf::mul_add_region(c, units[i].bytes, dst, unit_bytes);
+  // The missing units go kMaxDotProdRows at a time through one fused dot
+  // product over the union of their rows' nonzero columns, so each source
+  // unit is loaded once per group instead of once per (output, source).
+  std::vector<std::size_t> missing;
+  for (std::size_t msg = 0; msg < m; ++msg)
+    if (!have[msg]) missing.push_back(msg);
+  std::vector<const Byte*> srcs;
+  std::vector<Byte*> dsts;
+  std::vector<Byte> coeffs;
+  std::vector<bool> used(m);
+  for (std::size_t g = 0; g < missing.size(); g += gf::kMaxDotProdRows) {
+    const std::size_t rows = std::min(gf::kMaxDotProdRows, missing.size() - g);
+    std::fill(used.begin(), used.end(), false);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t i = 0; i < m; ++i)
+        if (inv->at(missing[g + r], i) != 0) used[i] = true;
+    srcs.clear();
+    for (std::size_t i = 0; i < m; ++i)
+      if (used[i]) srcs.push_back(units[i].bytes);
+    dsts.clear();
+    coeffs.clear();
+    for (std::size_t r = 0; r < rows; ++r) {
+      dsts.push_back(data_out.data() + missing[g + r] * unit_bytes);
+      for (std::size_t i = 0; i < m; ++i)
+        if (used[i]) coeffs.push_back(inv->at(missing[g + r], i));
     }
+    gf::dot_prod_regions(coeffs, srcs, dsts, unit_bytes);
   }
   return stats;
 }

@@ -100,7 +100,12 @@ class LinearCode {
   /// General unit-level decode: given exactly k*s stored units (any mix of
   /// blocks/positions whose generator rows are jointly nonsingular), recovers
   /// the full message.  This is the engine behind Carousel's
-  /// read-from-any-p-blocks path (paper §VII).
+  /// read-from-any-p-blocks path (paper §VII).  Verbatim units are copied;
+  /// the others are solved through fused dot products (gf::dot_prod_regions,
+  /// up to kMaxDotProdRows outputs per call).  Units may point into
+  /// data_out: a verbatim unit already at its own output position is not
+  /// copied, which makes an in-place decode over gathered extents legal —
+  /// as long as no unit aliases a position that must be solved.
   IoStats decode_units(std::span<const UnitRef> units, std::size_t unit_bytes,
                        std::span<Byte> data_out) const;
 

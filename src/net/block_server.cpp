@@ -1,7 +1,9 @@
 #include "net/block_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 
 #include "gf/vect.h"
 #include "obs/trace.h"
@@ -83,7 +85,7 @@ BlockServer::BlockServer(std::uint16_t port,
   std::uint64_t total = 0;
   for (auto& b : intact) {
     total += b.bytes.size();
-    blocks_[b.key] = StoredBlock{std::move(b.bytes), b.crc};
+    blocks_[b.key] = copy_block(b.bytes, b.crc);
   }
   quarantined_.insert(recovery_.damaged.begin(), recovery_.damaged.end());
   blocks_gauge_->set(static_cast<double>(blocks_.size()));
@@ -147,17 +149,56 @@ void BlockServer::set_fault_plan(std::shared_ptr<FaultPlan> plan) {
   faults_ = std::move(plan);
 }
 
+std::shared_ptr<BlockServer::StoredBlock> BlockServer::copy_block(
+    std::span<const std::uint8_t> bytes, std::uint32_t crc) {
+  auto block = std::make_shared<StoredBlock>();
+  block->storage = std::make_unique_for_overwrite<std::uint8_t[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), block->storage.get());
+  block->bytes = {block->storage.get(), bytes.size()};
+  block->crc = crc;
+  return block;
+}
+
 bool BlockServer::corrupt_block(const BlockKey& key, std::size_t offset) {
-  util::MutexLock lock(mu_);
-  auto it = blocks_.find(key);
+  util::MutexLock write(write_mu_);
+  Snapshot old;
+  {
+    util::MutexLock lock(mu_);
+    auto it = blocks_.find(key);
+    if (it != blocks_.end()) old = it->second;
+  }
   // An empty block has no byte to flip: refuse rather than divide by zero.
-  if (it == blocks_.end() || it->second.bytes.empty()) return false;
-  const std::size_t pos = offset % it->second.bytes.size();
-  it->second.bytes[pos] ^= 0x01;
+  if (!old || old->bytes.empty()) return false;
+  // Readers may hold the old snapshot: flip a copy and swap it in.
+  auto rotten = copy_block(old->bytes, old->crc);
+  const std::size_t pos = offset % old->bytes.size();
+  rotten->storage[pos] ^= 0x01;  // not yet shared: a fresh copy
+  {
+    util::MutexLock lock(mu_);
+    blocks_[key] = std::move(rotten);
+  }
   // Rot the same byte at rest, so the corruption survives a restart and the
   // next recovery scan quarantines the block instead of reloading it.
   if (persist_) persist_->corrupt_at_rest(key, pos);
   return true;
+}
+
+BlockServer::Snapshot BlockServer::lookup(const BlockKey& key,
+                                          Status& status) const {
+  util::MutexLock lock(mu_);
+  if (quarantined_.contains(key)) {
+    // Recovery moved this block's files aside: the block is known but its
+    // payload is gone.  kCorrupt (no CRC known) tells the client and
+    // scrubber to repair it, not to treat it as never written.
+    status = Status::kCorrupt;
+    return nullptr;
+  }
+  auto it = blocks_.find(key);
+  if (it == blocks_.end()) {
+    status = Status::kNotFound;
+    return nullptr;
+  }
+  return it->second;
 }
 
 std::size_t BlockServer::block_count() const {
@@ -173,7 +214,7 @@ std::size_t BlockServer::session_count() const {
 std::uint64_t BlockServer::stored_bytes() const {
   util::MutexLock lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& [key, block] : blocks_) total += block.bytes.size();
+  for (const auto& [key, block] : blocks_) total += block->bytes.size();
   return total;
 }
 
@@ -224,41 +265,43 @@ void BlockServer::serve(Session& session) {
   } hangup{session};
   try {
     for (;;) {
-      std::uint8_t op_raw;
-      if (!conn.recv_all(&op_raw, 1)) return;  // client hung up
-      std::uint32_t len;
-      if (!conn.recv_all(&len, 4)) return;
+      std::uint8_t header[5] = {};
+      if (!conn.recv_all(header, sizeof header)) return;  // client hung up
+      const std::uint8_t op_raw = header[0];
+      std::uint32_t len = 0;
+      std::memcpy(&len, header + 1, sizeof len);
 
-      Writer resp;
-      Status status = Status::kOk;
+      Reply reply;
       bool close_after = false;
       std::optional<Op> op;
       std::optional<FaultRule> fault;
-      std::vector<std::uint8_t> payload;
+      // Not zero-filled: recv overwrites every byte, and a PUT keeps this
+      // buffer as the stored block.
+      std::unique_ptr<std::uint8_t[]> payload;
 
       if (len > kMaxFrameBytes) {
         // A hostile or garbage length prefix: reject it *before* allocating
         // anything.  We cannot resync past bytes we refuse to read, so the
         // typed answer goes out and then the connection closes.
-        status = Status::kBadRequest;
-        append_text(resp, "frame length exceeds kMaxFrameBytes");
+        reply.status = Status::kBadRequest;
+        append_text(reply.head, "frame length exceeds kMaxFrameBytes");
         close_after = true;
       } else {
-        payload.resize(len);
-        if (len && !conn.recv_all(payload.data(), len)) return;
+        payload = std::make_unique_for_overwrite<std::uint8_t[]>(len);
+        if (len && !conn.recv_all(payload.get(), len)) return;
         op = parse_op(op_raw);
         const char* defect =
-            op ? validate_request(*op, payload) : "unknown opcode";
+            op ? validate_request(*op, {payload.get(), len}) : "unknown opcode";
         if (defect) {
           // The frame boundary held (we read exactly `len` bytes), so the
           // session survives a malformed request.
-          status = Status::kBadRequest;
-          append_text(resp, defect);
+          reply.status = Status::kBadRequest;
+          append_text(reply.head, defect);
         }
       }
-      if (status == Status::kBadRequest) bad_requests_->inc();
+      if (reply.status == Status::kBadRequest) bad_requests_->inc();
 
-      if (op && status == Status::kOk) {
+      if (op && reply.status == Status::kOk) {
         std::shared_ptr<FaultPlan> faults;
         {
           util::MutexLock lock(mu_);
@@ -269,8 +312,8 @@ void BlockServer::serve(Session& session) {
           fault_hits_[static_cast<std::size_t>(fault->action)]->inc();
 
         if (fault && fault->action == FaultAction::kRefuse) {
-          status = Status::kError;
-          append_text(resp, "injected fault: refused");
+          reply.status = Status::kError;
+          append_text(reply.head, "injected fault: refused");
         } else {
           // A crash fault on a persistent PUT cuts the durable write at the
           // injected point; elsewhere it degrades to drop-before-response.
@@ -279,19 +322,19 @@ void BlockServer::serve(Session& session) {
             crash = crash_point_of(fault->action);
           const auto idx = static_cast<std::size_t>(*op);
           try {
-            Reader req(payload);
+            Reader req({payload.get(), len});
             op_requests_[idx]->inc();
             obs::ScopedTimer timer(*op_seconds_[idx]);
-            handle(*op, req, resp, status, crash);
+            handle(*op, req, payload, reply, crash);
           } catch (const MalformedPayload& e) {
-            status = Status::kBadRequest;
+            reply = Reply();
+            reply.status = Status::kBadRequest;
             bad_requests_->inc();
-            resp = Writer();
-            append_text(resp, e.what());
+            append_text(reply.head, e.what());
           } catch (const std::exception& e) {
-            status = Status::kError;
-            resp = Writer();
-            append_text(resp, e.what());
+            reply = Reply();
+            reply.status = Status::kError;
+            append_text(reply.head, e.what());
           }
         }
       }
@@ -310,22 +353,28 @@ void BlockServer::serve(Session& session) {
           case FaultAction::kDelay:
             injected_sleep(fault->delay_ms);
             break;
-          case FaultAction::kCorruptPayload:
-            if (!resp.data().empty()) {
-              auto& buf = resp.data();
-              buf[fault->corrupt_offset % buf.size()] ^= 0x01;
-            }
+          case FaultAction::kCorruptPayload: {
+            // Flip a byte of the answer as sent, never of the stored block:
+            // the borrowed range is copied into the owned part first.
+            reply.head.bytes(reply.tail);
+            reply.tail = {};
+            reply.pin.reset();
+            auto& buf = reply.head.data();
+            if (!buf.empty()) buf[fault->corrupt_offset % buf.size()] ^= 0x01;
             break;
+          }
           default:
             break;
         }
       }
 
-      std::uint8_t st = static_cast<std::uint8_t>(status);
-      std::uint32_t rlen = static_cast<std::uint32_t>(resp.data().size());
-      conn.send_all(&st, 1);
-      conn.send_all(&rlen, 4);
-      if (rlen) conn.send_all(resp.data().data(), rlen);
+      // Header, owned part and borrowed range: one gather sendmsg.
+      std::uint8_t out[5];
+      out[0] = static_cast<std::uint8_t>(reply.status);
+      const auto rlen = static_cast<std::uint32_t>(reply.head.data().size() +
+                                                   reply.tail.size());
+      std::memcpy(out + 1, &rlen, sizeof rlen);
+      conn.send_all({out, reply.head.data(), reply.tail});
 
       if (close_after) return;
       if (fault && fault->action == FaultAction::kDropAfterResponse) return;
@@ -335,8 +384,11 @@ void BlockServer::serve(Session& session) {
   }
 }
 
-void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
-                         CrashPoint crash) {
+void BlockServer::handle(Op op, Reader& req,
+                         std::unique_ptr<std::uint8_t[]>& payload,
+                         Reply& reply, CrashPoint crash) {
+  Status& status = reply.status;
+  Writer& resp = reply.head;
   switch (op) {
     case Op::kPing:
       return;
@@ -351,7 +403,7 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
         resp.u32(actual);
         return;
       }
-      util::MutexLock lock(mu_);
+      util::MutexLock write(write_mu_);
       if (persist_) {
         // Durability before acknowledgement: the block must survive a
         // power cut the instant after the response is sent.  A simulated
@@ -359,56 +411,34 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
         // in-memory update — RAM would not have survived either.
         if (!persist_->put(key, bytes, declared, crash)) return;
       }
-      quarantined_.erase(key);
-      auto& block = blocks_[key];
-      const double old_bytes = static_cast<double>(block.bytes.size());
-      block.bytes.assign(bytes.begin(), bytes.end());
-      block.crc = declared;
-      blocks_gauge_->set(static_cast<double>(blocks_.size()));
-      stored_bytes_gauge_->add(static_cast<double>(block.bytes.size()) -
-                               old_bytes);
-      return;
-    }
-    case Op::kGet: {
-      BlockKey key = req.key();
+      // The frame's payload buffer becomes the stored block: no copy.
+      auto block = std::make_shared<StoredBlock>();
+      block->storage = std::move(payload);
+      block->bytes = bytes;
+      block->crc = declared;
       util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        // Recovery moved this block's files aside: the block is known but
-        // its payload is gone.  kCorrupt (no CRC known) tells the client
-        // and scrubber to repair it, not to treat it as never written.
-        status = Status::kCorrupt;
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      std::uint32_t actual = crc_of(it->second.bytes);
-      if (actual != it->second.crc) {
-        status = Status::kCorrupt;
-        resp.u32(actual);
-        return;
-      }
-      resp.u32(it->second.crc);
-      resp.bytes(it->second.bytes);
+      quarantined_.erase(key);
+      Snapshot& slot = blocks_[key];
+      const double old_bytes =
+          slot ? static_cast<double>(slot->bytes.size()) : 0.0;
+      slot = std::move(block);
+      blocks_gauge_->set(static_cast<double>(blocks_.size()));
+      stored_bytes_gauge_->add(static_cast<double>(bytes.size()) - old_bytes);
       return;
     }
+    case Op::kGet:
     case Op::kGetRange: {
       BlockKey key = req.key();
-      std::uint32_t off = req.u32();
-      std::uint32_t len = req.u32();
-      util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;
-        return;
+      std::uint32_t off = 0;
+      std::uint32_t len = 0;
+      if (op == Op::kGetRange) {
+        off = req.u32();
+        len = req.u32();
       }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      std::span<const std::uint8_t> block(it->second.bytes);
+      Snapshot snap = lookup(key, status);
+      if (!snap) return;
+      std::span<const std::uint8_t> block = snap->bytes;
+      if (op == Op::kGet) len = static_cast<std::uint32_t>(block.size());
       if (std::size_t(off) + len > block.size())
         throw std::runtime_error("range out of bounds");
       // One pass over the block: the range's own CRC goes on the wire, and
@@ -419,97 +449,99 @@ void BlockServer::handle(Op op, Reader& req, Writer& resp, Status& status,
       std::uint32_t actual = util::crc32_combine(
           util::crc32_combine(crc_of(block.first(off)), range_crc, len),
           crc_of(suffix), suffix.size());
-      if (actual != it->second.crc) {
+      if (actual != snap->crc) {
         status = Status::kCorrupt;
         resp.u32(actual);
         return;
       }
+      // The range goes out straight from the snapshot.
       resp.u32(range_crc);
-      resp.bytes(range);
+      reply.tail = range;
+      reply.pin = std::move(snap);
       return;
     }
     case Op::kProject: {
       BlockKey key = req.key();
       std::uint32_t unit_bytes = req.u32();
       std::uint16_t outputs = req.u16();
-      util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      const auto& block = it->second.bytes;
+      Snapshot snap = lookup(key, status);
+      if (!snap) return;
+      std::span<const std::uint8_t> block = snap->bytes;
       if (unit_bytes == 0 || block.size() % unit_bytes != 0)
         throw std::runtime_error("unit size does not divide the block");
       std::uint32_t actual = crc_of(block);
-      if (actual != it->second.crc) {
+      if (actual != snap->crc) {
         status = Status::kCorrupt;
         resp.u32(actual);
         return;
       }
+      // Each output is one fused dot product over its terms, written
+      // straight into the answer behind a CRC word filled in last.
       const std::size_t units = block.size() / unit_bytes;
-      std::vector<std::uint8_t> out(unit_bytes);
-      std::vector<std::uint8_t> body;
-      body.reserve(std::size_t(outputs) * unit_bytes);
+      auto& buf = resp.data();
+      buf.resize(4 + std::size_t(outputs) * unit_bytes);
+      std::vector<std::uint8_t> coeffs;
+      std::vector<const std::uint8_t*> srcs;
       for (std::uint16_t o = 0; o < outputs; ++o) {
         std::uint16_t terms = req.u16();
-        gf::zero_region(out.data(), out.size());
+        coeffs.clear();
+        srcs.clear();
         for (std::uint16_t t = 0; t < terms; ++t) {
           std::uint32_t pos = req.u32();
           std::uint8_t coeff = req.u8();
           if (pos >= units) throw std::runtime_error("unit out of range");
-          gf::mul_add_region(coeff, block.data() + std::size_t(pos) * unit_bytes,
-                             out.data(), unit_bytes);
+          coeffs.push_back(coeff);
+          srcs.push_back(block.data() + std::size_t(pos) * unit_bytes);
         }
-        body.insert(body.end(), out.begin(), out.end());
+        gf::dot_prod_region(coeffs, srcs,
+                            buf.data() + 4 + std::size_t(o) * unit_bytes,
+                            unit_bytes);
       }
-      resp.u32(crc_of(body));
-      resp.bytes(body);
+      const std::uint32_t body_crc =
+          crc_of(std::span<const std::uint8_t>(buf).subspan(4));
+      for (int i = 0; i < 4; ++i)
+        buf[i] = static_cast<std::uint8_t>(body_crc >> (8 * i));
       return;
     }
     case Op::kDelete: {
       BlockKey key = req.key();
-      util::MutexLock lock(mu_);
-      // Deleting a quarantined block clears the damage mark (its files
-      // already sit in quarantine/, nothing on the main path to remove).
-      const bool was_quarantined = quarantined_.erase(key) > 0;
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
+      util::MutexLock write(write_mu_);
+      Snapshot gone;
+      bool was_quarantined = false;
+      {
+        util::MutexLock lock(mu_);
+        // Deleting a quarantined block clears the damage mark (its files
+        // already sit in quarantine/, nothing on the main path to remove).
+        was_quarantined = quarantined_.erase(key) > 0;
+        auto it = blocks_.find(key);
+        if (it != blocks_.end()) {
+          gone = std::move(it->second);
+          blocks_.erase(it);
+          blocks_gauge_->set(static_cast<double>(blocks_.size()));
+        }
+      }
+      if (!gone) {
         if (!was_quarantined) status = Status::kNotFound;
         return;
       }
       if (persist_) persist_->erase(key);
-      stored_bytes_gauge_->add(-static_cast<double>(it->second.bytes.size()));
-      blocks_.erase(it);
-      blocks_gauge_->set(static_cast<double>(blocks_.size()));
+      stored_bytes_gauge_->add(-static_cast<double>(gone->bytes.size()));
       return;
     }
     case Op::kStats: {
       util::MutexLock lock(mu_);
       resp.u32(static_cast<std::uint32_t>(blocks_.size()));
       std::uint64_t total = 0;
-      for (const auto& [key, block] : blocks_) total += block.bytes.size();
+      for (const auto& [key, block] : blocks_) total += block->bytes.size();
       resp.u64(total);
       return;
     }
     case Op::kVerify: {
       BlockKey key = req.key();
-      util::MutexLock lock(mu_);
-      if (quarantined_.contains(key)) {
-        status = Status::kCorrupt;  // payload lost to quarantine: no CRC
-        return;
-      }
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        status = Status::kNotFound;
-        return;
-      }
-      std::uint32_t actual = crc_of(it->second.bytes);
-      if (actual != it->second.crc) status = Status::kCorrupt;
+      Snapshot snap = lookup(key, status);
+      if (!snap) return;  // a quarantined payload has no CRC to report
+      std::uint32_t actual = crc_of(snap->bytes);
+      if (actual != snap->crc) status = Status::kCorrupt;
       resp.u32(actual);
       return;
     }

@@ -2,10 +2,15 @@
 //
 // One accept thread plus one thread per connection; blocks live in a mutex-
 // guarded map together with their CRC-32, verified before every serve and on
-// the VERIFY audit op.  The PROJECT primitive performs linear combinations of
-// a block's units with the GF(2^8) kernels — the helper-side repair compute
-// of the paper, executed where the block lives so only the projected chunk
-// crosses the network.
+// the VERIFY audit op.  The map holds immutable shared snapshots, so the
+// mutex covers only a lookup or a pointer swap: CRC checks, PROJECT's GF
+// work and the reply run on the snapshot with no lock held, and a reply
+// sends the frame header, the CRC word and the stored range itself in one
+// gather sendmsg (no copy of the range).  A PUT keeps the buffer its
+// payload arrived in as the stored block.  The PROJECT primitive performs
+// linear combinations of a block's units with the GF(2^8) kernels — the
+// helper-side repair compute of the paper, executed where the block lives
+// so only the projected chunk crosses the network.
 //
 // Constructed with a data directory, the server is durable: every PUT is
 // written crash-atomically to disk (net/persistence.h) before it is
@@ -33,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -88,7 +94,7 @@ class BlockServer {
   /// block has no byte to flip).  On a persistent server the same byte is
   /// flipped in the on-disk payload, so the rot survives a restart.
   bool corrupt_block(const BlockKey& key, std::size_t offset = 0)
-      EXCLUDES(mu_);
+      EXCLUDES(mu_, write_mu_);
 
   /// Whether this server writes through to a data directory.
   bool persistent() const { return persist_ != nullptr; }
@@ -107,9 +113,26 @@ class BlockServer {
   obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
+  // Immutable once published: readers use a snapshot with no lock held,
+  // so a PUT, DELETE or corrupt_block() swaps in a new one instead.
   struct StoredBlock {
-    std::vector<std::uint8_t> bytes;
+    // The buffer the block arrived in (a PUT frame's whole payload, or a
+    // copy); `bytes` views the block inside it.
+    std::unique_ptr<std::uint8_t[]> storage;
+    std::span<const std::uint8_t> bytes;
     std::uint32_t crc = 0;  // CRC-32 the client declared on PUT
+  };
+  using Snapshot = std::shared_ptr<const StoredBlock>;
+  static std::shared_ptr<StoredBlock> copy_block(
+      std::span<const std::uint8_t> bytes, std::uint32_t crc);
+  // One answer: owned bytes (a small answer, a CRC word, a PROJECT body),
+  // then bytes borrowed from the pinned snapshot, sent after the frame
+  // header in one gather sendmsg.
+  struct Reply {
+    Status status = Status::kOk;
+    Writer head;
+    Snapshot pin;
+    std::span<const std::uint8_t> tail;
   };
   // One live connection and the thread serving it; reaped once `done`.
   struct Session {
@@ -124,9 +147,14 @@ class BlockServer {
   void serve(Session& session) EXCLUDES(mu_);
   /// `crash` is non-kNone only when a crash fault fired on a persistent
   /// PUT; the handler then leaves that crash point's torn on-disk state and
-  /// skips the in-memory update (a real crash loses RAM too).
-  void handle(Op op, Reader& req, Writer& resp, Status& status,
-              CrashPoint crash) EXCLUDES(mu_);
+  /// skips the in-memory update (a real crash loses RAM too).  A PUT takes
+  /// ownership of `payload`, the buffer `req` reads.
+  void handle(Op op, Reader& req, std::unique_ptr<std::uint8_t[]>& payload,
+              Reply& reply, CrashPoint crash) EXCLUDES(mu_, write_mu_);
+  /// The snapshot of `key`, under mu_ for the lookup alone.  Null for a
+  /// quarantined key (status kCorrupt: its payload went to quarantine) or
+  /// a missing one (kNotFound).
+  Snapshot lookup(const BlockKey& key, Status& status) const EXCLUDES(mu_);
   /// Interruptible stall for FaultAction::kDelay (wakes early on stop()).
   void injected_sleep(std::uint32_t ms);
 
@@ -145,12 +173,16 @@ class BlockServer {
   obs::Gauge* blocks_gauge_ = nullptr;
   obs::Gauge* stored_bytes_gauge_ = nullptr;
 
+  // Serializes the block mutations (PUT, DELETE, corrupt_block) from their
+  // durable write through the in-memory swap, so the on-disk and in-memory
+  // state never diverge; readers never take it, so a PUT's fsync stalls
+  // no GET_RANGE or PROJECT.  Ranked before mu_, which the swap takes.
+  util::Mutex write_mu_{util::LockRank::kBlockServerWrite};
   mutable util::Mutex mu_{util::LockRank::kBlockServer};
-  std::map<BlockKey, StoredBlock> blocks_ GUARDED_BY(mu_);
+  std::map<BlockKey, Snapshot> blocks_ GUARDED_BY(mu_);
   // Durable backend (null = RAM-only).  The pointer is set once in the
-  // constructor; the pointee's writes happen under mu_, so the on-disk and
-  // in-memory state never diverge mid-request (drain()'s final flush runs
-  // after every worker joined).
+  // constructor; the pointee's writes happen under write_mu_ (drain()'s
+  // final flush runs after every worker joined).
   std::unique_ptr<PersistentBlockStore> persist_;
   RecoveryReport recovery_;
   // Keys whose stored copy recovery quarantined: reads answer kCorrupt

@@ -26,6 +26,31 @@ std::uint32_t read_le32(const std::uint8_t* b) {
          (static_cast<std::uint32_t>(b[3]) << 24);
 }
 
+Writer range_request(const BlockKey& key, std::uint32_t offset,
+                     std::uint32_t length) {
+  Writer w;
+  w.key(key);
+  w.u32(offset);
+  w.u32(length);
+  return w;
+}
+
+Writer project_request(const BlockKey& key, std::uint32_t unit_bytes,
+                       const Client::Projection& outputs) {
+  Writer w;
+  w.key(key);
+  w.u32(unit_bytes);
+  w.u16(static_cast<std::uint16_t>(outputs.size()));
+  for (const auto& terms : outputs) {
+    w.u16(static_cast<std::uint16_t>(terms.size()));
+    for (auto [pos, coeff] : terms) {
+      w.u32(pos);
+      w.u8(coeff);
+    }
+  }
+  return w;
+}
+
 }  // namespace
 
 Client::Client(std::uint16_t port, RetryPolicy policy,
@@ -76,6 +101,7 @@ void Client::drop_connection() {
   received_before_.fetch_add(conn_.bytes_received(),
                              std::memory_order_relaxed);
   conn_ = TcpConn();
+  pending_.reset();
 }
 
 void Client::backoff(int attempt,
@@ -96,9 +122,12 @@ void Client::backoff(int attempt,
 
 std::pair<Status, std::vector<std::uint8_t>> Client::call(
     Op op, std::span<const std::uint8_t> head, CallOpts opts,
-    std::span<const std::uint8_t> tail) {
+    std::span<const std::uint8_t> tail, std::span<std::uint8_t>* dst) {
   using clock = std::chrono::steady_clock;
   obs::ScopedTimer timer(*op_seconds_[static_cast<std::size_t>(op)]);
+  // A pipelined request nobody received must not leave its answer in the
+  // way of this one.
+  if (pending_) drop_connection();
   const auto deadline = policy_.op_deadline.count() > 0
                             ? clock::now() + policy_.op_deadline
                             : clock::time_point::max();
@@ -113,38 +142,12 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
                           " attempts; last: " + last_failure);
     try {
       ensure_connected(deadline);
-      std::uint32_t declared = 0;
-      auto [status, body] =
-          call_once(op, head, tail, opts.checksummed ? &declared : nullptr);
-      if (status == Status::kError)
-        throw ServerError("server error: " +
-                          std::string(body.begin(), body.end()));
-      if (status == Status::kBadRequest)
-        throw BadRequestError("server rejected request as malformed: " +
-                              std::string(body.begin(), body.end()));
-      if (status == Status::kCorrupt) {
-        if (opts.corrupt_retryable) {
-          // PUT: our request was mangled in flight; resend it.
-          counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
-          wire_corruptions_total_->inc();
-          throw WireCorruption{};
-        }
-        if (!opts.corrupt_returns) {
-          counters_.corrupt_blocks.fetch_add(1, std::memory_order_relaxed);
-          corrupt_blocks_total_->inc();
-          throw CorruptBlockError("block failed its checksum at rest");
-        }
-      }
-      if (opts.checksummed && status == Status::kOk &&
-          util::crc32(body) != declared) {
-        counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
-        wire_corruptions_total_->inc();
-        throw WireCorruption{};
-      }
+      send_request(op, head, tail);
+      std::vector<std::uint8_t> body;
+      const Status status = receive(opts, dst, body);
       return {status, std::move(body)};
     } catch (const TimeoutError& e) {
-      counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      timeouts_total_->inc();
+      count_timeout();
       last_failure = e.what();
       drop_connection();
     } catch (const TransportError& e) {
@@ -164,52 +167,144 @@ std::pair<Status, std::vector<std::uint8_t>> Client::call(
       throw TransportError("op failed after " +
                            std::to_string(policy_.max_attempts) +
                            " attempts; last: " + last_failure);
-    counters_.retries.fetch_add(1, std::memory_order_relaxed);
-    retries_total_->inc();
+    count_retry();
     backoff(attempt, deadline);
   }
 }
 
-std::pair<Status, std::vector<std::uint8_t>> Client::call_once(
-    Op op, std::span<const std::uint8_t> head,
-    std::span<const std::uint8_t> tail, std::uint32_t* crc) {
+void Client::send_request(Op op, std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail) {
   // Frame: op byte, u32 payload length (host order, as the server reads
   // it), payload.
   std::uint8_t frame[5];
   frame[0] = static_cast<std::uint8_t>(op);
   const auto len = static_cast<std::uint32_t>(head.size() + tail.size());
   std::memcpy(frame + 1, &len, sizeof len);
+  pending_ = Pending{op, std::chrono::steady_clock::now()};
   conn_.send_all({frame, head, tail});
+}
 
-  std::uint8_t status_raw;
-  if (!conn_.recv_all(&status_raw, 1))
+Status Client::receive(CallOpts opts, std::span<std::uint8_t>* dst,
+                       std::vector<std::uint8_t>& body) {
+  pending_.reset();
+  std::uint8_t header[5] = {};
+  if (!conn_.recv_all(header, sizeof header))
     throw TransportError("server closed the connection");
-  std::uint32_t rlen;
-  if (!conn_.recv_all(&rlen, 4))
-    throw TransportError("server closed mid-response");
+  std::uint32_t rlen = 0;
+  std::memcpy(&rlen, header + 1, sizeof rlen);
   // Check the length prefix against the frame cap *before* sizing the body
   // buffer: a garbage length must not drive an unbounded allocation.
   if (rlen > kMaxFrameBytes) throw ProtocolError("malformed response length");
-  std::optional<Status> status = parse_status(status_raw);
+  std::optional<Status> status = parse_status(header[0]);
   if (!status) throw ProtocolError("unknown response status");
-  if (crc && *status == Status::kOk) {
-    // The frame leads with the payload's CRC: take it apart so the payload
-    // lands in `body` as it is.  A frame too short to hold it is drained
-    // first, so the connection stays in sync.
-    std::uint8_t word[4] = {};
-    if (rlen < 4) {
-      if (rlen && !conn_.recv_all(word, rlen))
-        throw TransportError("truncated response");
-      throw ProtocolError("response missing its checksum");
-    }
-    if (!conn_.recv_all(word, 4)) throw TransportError("truncated response");
-    *crc = read_le32(word);
-    rlen -= 4;
-  }
-  std::vector<std::uint8_t> body(rlen);
-  if (rlen && !conn_.recv_all(body.data(), rlen))
+  // A checksummed answer leads with the payload's CRC: it is taken apart
+  // so the payload lands as it is.  A frame too short to hold the CRC is
+  // still read through, so the connection stays in sync.
+  const bool checked = opts.checksummed && *status == Status::kOk && rlen >= 4;
+  std::uint8_t word[4] = {};
+  const std::uint32_t body_len = checked ? rlen - 4 : rlen;
+  const bool to_dst = checked && dst && dst->size() == body_len;
+  if (!to_dst) body.resize(body_len);
+  std::span<std::uint8_t> into = to_dst ? *dst : std::span<std::uint8_t>(body);
+  if (!conn_.recv_all({std::span<std::uint8_t>(word, checked ? 4 : 0), into}))
     throw TransportError("truncated response");
-  return {*status, std::move(body)};
+  if (opts.checksummed && *status == Status::kOk && !checked)
+    throw ProtocolError("response missing its checksum");
+  if (checked && dst && !to_dst)
+    throw ProtocolError("response length does not match the request");
+
+  if (*status == Status::kError)
+    throw ServerError("server error: " + std::string(body.begin(), body.end()));
+  if (*status == Status::kBadRequest)
+    throw BadRequestError("server rejected request as malformed: " +
+                          std::string(body.begin(), body.end()));
+  if (*status == Status::kCorrupt) {
+    if (opts.corrupt_retryable) {
+      // PUT: our request was mangled in flight; resend it.
+      counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
+      wire_corruptions_total_->inc();
+      throw WireCorruption{};
+    }
+    if (!opts.corrupt_returns) {
+      counters_.corrupt_blocks.fetch_add(1, std::memory_order_relaxed);
+      corrupt_blocks_total_->inc();
+      throw CorruptBlockError("block failed its checksum at rest");
+    }
+  }
+  if (checked && util::crc32(into) != read_le32(word)) {
+    counters_.wire_corruptions.fetch_add(1, std::memory_order_relaxed);
+    wire_corruptions_total_->inc();
+    throw WireCorruption{};
+  }
+  return *status;
+}
+
+template <class Half>
+void Client::pipelined(Half&& half) {
+  try {
+    half();
+  } catch (const WireCorruption&) {
+    drop_connection();
+    throw TransportError("response failed its checksum in flight");
+  } catch (const TimeoutError&) {
+    count_timeout();
+    drop_connection();
+    throw;
+  } catch (const std::system_error& e) {
+    drop_connection();
+    throw TransportError(e.what());
+  } catch (...) {
+    drop_connection();
+    throw;
+  }
+}
+
+void Client::begin(Op op, std::span<const std::uint8_t> head) {
+  if (pending_) drop_connection();
+  const auto deadline =
+      policy_.op_deadline.count() > 0
+          ? std::chrono::steady_clock::now() + policy_.op_deadline
+          : std::chrono::steady_clock::time_point::max();
+  pipelined([&] {
+    ensure_connected(deadline);
+    send_request(op, head, {});
+  });
+}
+
+bool Client::receive_into(std::span<std::uint8_t> dst) {
+  if (!pending_) throw std::logic_error("receive_into: no request pending");
+  // The op's latency runs from its send to here, whatever the outcome.
+  struct Charge {
+    obs::Histogram& seconds;
+    std::chrono::steady_clock::time_point since;
+    ~Charge() {
+      seconds.observe(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - since)
+                          .count());
+    }
+  } charge{*op_seconds_[static_cast<std::size_t>(pending_->op)],
+           pending_->sent};
+  bool found = false;
+  pipelined([&] {
+    std::vector<std::uint8_t> body;
+    found = receive({.checksummed = true}, &dst, body) == Status::kOk;
+  });
+  return found;
+}
+
+void Client::abandon(bool timed_out) {
+  if (timed_out) count_timeout();
+  drop_connection();
+}
+
+void Client::count_timeout() {
+  counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
+  timeouts_total_->inc();
+}
+
+void Client::count_retry() {
+  counters_.retries.fetch_add(1, std::memory_order_relaxed);
+  retries_total_->inc();
 }
 
 void Client::ping() { call(Op::kPing, {}); }
@@ -231,31 +326,40 @@ std::optional<std::vector<std::uint8_t>> Client::get(const BlockKey& key) {
 
 std::optional<std::vector<std::uint8_t>> Client::get_range(
     const BlockKey& key, std::uint32_t offset, std::uint32_t length) {
-  Writer w;
-  w.key(key);
-  w.u32(offset);
-  w.u32(length);
-  auto [status, body] = call(Op::kGetRange, w.data(), {.checksummed = true});
+  auto [status, body] = call(Op::kGetRange,
+                             range_request(key, offset, length).data(),
+                             {.checksummed = true});
   if (status == Status::kNotFound) return std::nullopt;
   return std::move(body);
 }
 
+bool Client::get_range(const BlockKey& key, std::uint32_t offset,
+                       std::span<std::uint8_t> dst) {
+  auto [status, body] = call(
+      Op::kGetRange,
+      range_request(key, offset, static_cast<std::uint32_t>(dst.size()))
+          .data(),
+      {.checksummed = true}, {}, &dst);
+  return status == Status::kOk;
+}
+
 std::optional<std::vector<std::uint8_t>> Client::project(
     const BlockKey& key, std::uint32_t unit_bytes, const Projection& outputs) {
-  Writer w;
-  w.key(key);
-  w.u32(unit_bytes);
-  w.u16(static_cast<std::uint16_t>(outputs.size()));
-  for (const auto& terms : outputs) {
-    w.u16(static_cast<std::uint16_t>(terms.size()));
-    for (auto [pos, coeff] : terms) {
-      w.u32(pos);
-      w.u8(coeff);
-    }
-  }
-  auto [status, body] = call(Op::kProject, w.data(), {.checksummed = true});
+  auto [status, body] =
+      call(Op::kProject, project_request(key, unit_bytes, outputs).data(),
+           {.checksummed = true});
   if (status == Status::kNotFound) return std::nullopt;
   return std::move(body);
+}
+
+void Client::send_get_range(const BlockKey& key, std::uint32_t offset,
+                            std::uint32_t length) {
+  begin(Op::kGetRange, range_request(key, offset, length).data());
+}
+
+void Client::send_project(const BlockKey& key, std::uint32_t unit_bytes,
+                          const Projection& outputs) {
+  begin(Op::kProject, project_request(key, unit_bytes, outputs).data());
 }
 
 bool Client::remove(const BlockKey& key) {

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,6 +78,11 @@ class Client {
   std::optional<std::vector<std::uint8_t>> get_range(const BlockKey& key,
                                                      std::uint32_t offset,
                                                      std::uint32_t length);
+  /// The same range-GET with the range landing in `dst` (its length is
+  /// dst.size()): the CRC is checked over the destination bytes, so no body
+  /// buffer and no copy.  False when the block is missing.
+  bool get_range(const BlockKey& key, std::uint32_t offset,
+                 std::span<std::uint8_t> dst);
   /// One term: (unit position, GF coefficient); one output per term list.
   using Projection = std::vector<std::vector<std::pair<std::uint32_t,
                                                        std::uint8_t>>>;
@@ -98,6 +104,34 @@ class Client {
   /// The server's Prometheus text dump (METRICS op): its own registry
   /// followed by its process-global registry.
   std::string metrics_text();
+
+  /// Pipelined exchanges: the send and receive halves of one GET_RANGE or
+  /// PROJECT, for a caller that keeps requests to several servers in flight
+  /// at once and waits on fd() with poll (CarouselStore::read_file).  The
+  /// retrying call() behind every op above is built from the same two
+  /// halves.  No retry here: a failure throws the typed error —
+  /// TransportError (TimeoutError included) when a retry could help — and
+  /// closes the connection, so the next request starts on a fresh one.
+  void send_get_range(const BlockKey& key, std::uint32_t offset,
+                      std::uint32_t length);
+  void send_project(const BlockKey& key, std::uint32_t unit_bytes,
+                    const Projection& outputs);
+  /// Receives the answer to the request sent last.  A kOk body must be
+  /// exactly dst.size() bytes and lands in dst, CRC checked over dst;
+  /// returns false for kNotFound.
+  bool receive_into(std::span<std::uint8_t> dst);
+  /// True between a send_* and its receive_into.
+  bool pending() const { return pending_.has_value(); }
+  /// Gives up on the pending answer: the connection is closed, not drained.
+  /// `timed_out` counts the give-up as a timeout (the caller's wait for the
+  /// answer ran out).
+  void abandon(bool timed_out = false);
+  /// Counts a retry the caller runs itself after a pipelined exchange
+  /// failed in a way a retry could cure (it then repeats the op through the
+  /// retrying call()).
+  void count_retry();
+  /// The connection's descriptor (-1 before the first send_*).
+  int fd() const { return conn_.fd(); }
 
   /// Failure-handling telemetry, cumulative over the client's life.
   struct Counters {
@@ -143,26 +177,47 @@ class Client {
     bool corrupt_returns = false;   // kCorrupt is a valid answer (VERIFY)
   };
   /// Runs one operation under the retry policy; see the header comment for
-  /// the full classification.
-  /// The request payload is `head` followed by `tail`, sent without
-  /// joining them (a PUT's tail is the caller's block).
+  /// the full classification.  Each attempt is one send_request plus one
+  /// receive.  The request payload is `head` followed by `tail`, sent
+  /// without joining them (a PUT's tail is the caller's block); with `dst`
+  /// set, a checksummed body lands there instead of in the returned vector.
   std::pair<Status, std::vector<std::uint8_t>> call(
       Op op, std::span<const std::uint8_t> head, CallOpts opts,
-      std::span<const std::uint8_t> tail = {});
+      std::span<const std::uint8_t> tail = {},
+      std::span<std::uint8_t>* dst = nullptr);
   std::pair<Status, std::vector<std::uint8_t>> call(
       Op op, std::span<const std::uint8_t> head) {
     return call(op, head, CallOpts{});
   }
-  /// One request/response exchange.  With `crc` set, a kOk response is
-  /// checksummed: its leading u32 goes to *crc and the rest to the body.
-  std::pair<Status, std::vector<std::uint8_t>> call_once(
-      Op op, std::span<const std::uint8_t> head,
-      std::span<const std::uint8_t> tail, std::uint32_t* crc);
+  /// Send half: the frame header, `head` and `tail` in one gather sendmsg
+  /// on the open connection; marks the answer pending.
+  void send_request(Op op, std::span<const std::uint8_t> head,
+                    std::span<const std::uint8_t> tail);
+  /// Receive half: the 5-byte header with one recv, then a checksummed kOk
+  /// answer's CRC word and body with one scatter recvmsg — into *dst when
+  /// given and the lengths match, else into `body`, which also takes every
+  /// other answer's payload.  Classifies the answer: throws ServerError,
+  /// BadRequestError, CorruptBlockError, ProtocolError or WireCorruption
+  /// (counted) as the header comment describes; returns the status
+  /// otherwise.
+  Status receive(CallOpts opts, std::span<std::uint8_t>* dst,
+                 std::vector<std::uint8_t>& body);
+  /// Connects (if needed) and sends one pipelined request.
+  void begin(Op op, std::span<const std::uint8_t> head);
+  /// Runs one half of a pipelined exchange.  A failure closes the
+  /// connection and surfaces typed: a timeout counted, a checksum mismatch
+  /// in flight (counted by receive) as TransportError.  Defined, and only
+  /// used, in client.cpp.
+  template <class Half>
+  void pipelined(Half&& half);
   /// Opens the connection if needed.  The connect attempt is bounded by the
   /// per-attempt io_timeout AND the remaining op deadline, whichever is
   /// tighter; throws DeadlineError when the deadline is already spent.
   void ensure_connected(std::chrono::steady_clock::time_point deadline);
+  /// Closes the connection (folding its byte counts) and forgets any
+  /// pending answer; the next request reconnects.
   void drop_connection();
+  void count_timeout();
   /// Backoff before retry `attempt`; throws DeadlineError when it would
   /// cross `deadline`.
   void backoff(int attempt,
@@ -182,6 +237,13 @@ class Client {
   std::uint16_t port_;
   RetryPolicy policy_;
   TcpConn conn_;
+  // The request whose answer has not been received yet, and when it went
+  // out (the op's latency histogram is charged on receipt).
+  struct Pending {
+    Op op;
+    std::chrono::steady_clock::time_point sent;
+  };
+  std::optional<Pending> pending_;
   bool ever_connected_ = false;
   AtomicCounters counters_;
   std::minstd_rand jitter_rng_;

@@ -126,6 +126,25 @@ void TcpConn::send_all(const void* data, std::size_t n) {
   send_all({{static_cast<const std::uint8_t*>(data), n}});
 }
 
+namespace {
+
+/// Steps an iovec array past `done` bytes: whole parts first, then into a
+/// partial one.  Returns the new count of parts still to move.
+std::size_t advance(iovec*& next, std::size_t count, std::size_t done) {
+  while (count > 0 && done >= next->iov_len) {
+    done -= next->iov_len;
+    ++next;
+    --count;
+  }
+  if (count > 0) {
+    next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + done;
+    next->iov_len -= done;
+  }
+  return count;
+}
+
+}  // namespace
+
 void TcpConn::send_all(
     std::initializer_list<std::span<const std::uint8_t>> parts) {
   if (parts.size() > kMaxSendParts)
@@ -148,36 +167,40 @@ void TcpConn::send_all(
     }
     if (w == 0) throw TransportError("send: peer closed");
     sent_.fetch_add(static_cast<std::uint64_t>(w), std::memory_order_relaxed);
-    // Step past what went out: whole parts first, then into a partial one.
-    auto left = static_cast<std::size_t>(w);
-    while (count > 0 && left >= next->iov_len) {
-      left -= next->iov_len;
-      ++next;
-      --count;
-    }
-    if (count > 0) {
-      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + left;
-      next->iov_len -= left;
-    }
+    count = advance(next, count, static_cast<std::size_t>(w));
   }
 }
 
 bool TcpConn::recv_all(void* data, std::size_t n) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::recv(fd_, p + got, n - got, 0);
+  return recv_all({{static_cast<std::uint8_t*>(data), n}});
+}
+
+bool TcpConn::recv_all(std::initializer_list<std::span<std::uint8_t>> parts) {
+  if (parts.size() > kMaxSendParts)
+    throw std::invalid_argument("recv_all: too many parts");
+  iovec iov[kMaxSendParts];
+  std::size_t count = 0;
+  for (std::span<std::uint8_t> part : parts)
+    if (!part.empty()) iov[count++] = {part.data(), part.size()};
+  iovec* next = iov;
+  bool started = false;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    ssize_t r = ::recvmsg(fd_, &msg, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
       throw_errno("recv");
     }
     if (r == 0) {
-      if (got == 0) return false;  // clean EOF at a message boundary
+      if (!started) return false;  // clean EOF at a message boundary
       throw TransportError("recv: connection truncated mid-message");
     }
-    got += static_cast<std::size_t>(r);
+    started = true;
     received_.fetch_add(static_cast<std::uint64_t>(r),
                         std::memory_order_relaxed);
+    count = advance(next, count, static_cast<std::size_t>(r));
   }
   return true;
 }

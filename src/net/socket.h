@@ -64,6 +64,13 @@ class TcpConn {
   /// recv timeout fired) on error; returns false on clean EOF at a message
   /// boundary (n bytes requested, zero received).
   bool recv_all(void* data, std::size_t n);
+  /// Fills every part, in order, with scatter recvmsg calls, so bytes land
+  /// where the caller wants them without a staging copy; at most
+  /// kMaxSendParts parts.  Errors and the EOF result as recv_all(data, n).
+  bool recv_all(std::initializer_list<std::span<std::uint8_t>> parts);
+
+  /// The descriptor, for poll() while an answer is pending (-1 when closed).
+  int fd() const { return fd_; }
 
   void close();
 

@@ -3,11 +3,13 @@
 // Stripes files across a fleet of block servers with a Carousel code and
 // implements the paper's three data paths against real sockets:
 //   - parallel read: all p original-data extents of a stripe are fetched
-//     concurrently (one GET_RANGE per data-carrying block, fanned out over a
-//     store-owned thread pool) and the results collected via futures;
+//     concurrently — the calling thread sends one GET_RANGE per
+//     data-carrying block on leased connections, waits on them with poll,
+//     and receives each answer straight into its place in the output;
 //   - degraded read (§VII): parity stand-ins serve the missing slots'
-//     selection patterns via PROJECT, k/p of a block each, dispatched
-//     concurrently for every failed slot;
+//     selection patterns via PROJECT, k/p of a block each, in flight at
+//     once for every failed slot, decoded in place over the extents already
+//     in the output;
 //   - repair: helpers run their phi-projections server-side (PROJECT), only
 //     the chunks travel, the newcomer combines and re-PUTs — so the bytes on
 //     the wire are exactly Fig. 7's d/(d-k+1) block sizes.
@@ -16,9 +18,9 @@
 // not answered within a latency budget (a quantile of the store's own
 // carousel_store_range_get_seconds histogram, floored by HedgePolicy::floor)
 // gets a speculative §VII stand-in racing its primary.  Whichever answers
-// first wins; the loser finishes on its own pooled connection — its response
-// is fully read and then discarded, never double-decoded and never left
-// half-parsed on a socket another request could pick up.  The race is
+// first wins; the loser's connection is closed, not drained, so its answer
+// is never decoded and never left half-read on a socket another request
+// could pick up.  The race is
 // counted by carousel_store_hedged_reads_total / carousel_store_hedge_wins_
 // total (minted through one helper; check_invariants rule 7).
 //
@@ -29,8 +31,8 @@
 // guarded by the per-server pool_mu) and runs lock-free, so concurrent
 // read_file calls — and a background Scrubber or RepairScheduler healing
 // while a foreground reader streams — proceed in parallel.  Lock order is
-// mu_ -> pool_mu, both leaf-held for pointer swaps only; read-path pool
-// tasks take pool_mu alone.  The placement snapshot a read takes under mu_
+// mu_ -> pool_mu, both leaf-held for pointer swaps only; a read takes
+// pool_mu alone to lease.  The placement snapshot a read takes under mu_
 // may go stale mid-read (a concurrent re-home): the affected block simply
 // surfaces as an erasure and fails over like any other.
 //
@@ -87,10 +89,6 @@
 #include "net/client.h"
 #include "net/meta_log.h"
 #include "util/sync.h"
-
-namespace carousel::util {
-class ThreadPool;
-}  // namespace carousel::util
 
 namespace carousel::net {
 
@@ -364,8 +362,8 @@ class CarouselStore {
 
  private:
   /// One server plus its client pool.  Server objects are heap-allocated
-  /// and live as long as the store, so a read task may hold a Server*
-  /// without mu_ — add_server() only ever appends to servers_.
+  /// and live as long as the store, so a read may hold a Server* without
+  /// mu_ — add_server() only ever appends to servers_.
   struct Server {
     std::uint16_t port = 0;
     bool spare = false;
@@ -383,17 +381,20 @@ class CarouselStore {
   /// Exclusive use of one connection to a server for one operation.  A
   /// Client is a single framed TCP stream and is not safe for interleaved
   /// requests, so every wire op takes a pooled client (or opens a fresh one
-  /// when all are busy) — that is what lets two reads, or a hedge loser
-  /// still draining its response, talk to the same server concurrently.
-  /// Release returns the client to the pool only after its blocking call
-  /// finished, so a pooled connection is never mid-frame.
+  /// when all are busy) — that is what lets two reads, or a read and a
+  /// repair, talk to the same server concurrently.  Release closes the
+  /// connection of a client whose answer is still pending (a hedge loser),
+  /// so a pooled connection is never mid-frame.
   class Lease {
    public:
     Lease(Server& server, const RetryPolicy& policy,
           obs::MetricsRegistry* registry);
     ~Lease();
+    Lease(Lease&& other) noexcept
+        : server_(other.server_), client_(std::move(other.client_)) {}
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
+    Lease& operator=(Lease&&) = delete;
     Client* operator->() { return client_.get(); }
     Client& operator*() { return *client_; }
 
@@ -416,14 +417,22 @@ class CarouselStore {
     return lease(placement_of(file_id, stripe, index));
   }
   /// The erasure-tolerant call every fetch-ladder step makes: leases a
-  /// connection to `srv` and returns op(client).  BadRequestError (a frame
+  /// connection to `srv` and returns op(client), which keeps what it
+  /// fetched and says whether it was usable.  BadRequestError (a frame
   /// this store composed wrongly: a local bug) propagates; any other
   /// net::Error — a dead, slow or lying server — is an erasure and yields
-  /// nullopt.  Callers judge the answer's size themselves.
-  std::optional<std::vector<codes::Byte>> try_fetch(
-      Server& srv,
-      const std::function<std::optional<std::vector<codes::Byte>>(Client&)>&
-          op) const;
+  /// false.
+  bool try_fetch(Server& srv, const std::function<bool(Client&)>& op) const;
+  /// One stripe of read_file into `dst`: the p range-GETs pipelined from
+  /// the calling thread (hedged past `hedge_after` when set), one retry
+  /// through try_fetch for a failure a retry could cure, the §VII
+  /// stand-in ladder for the rest with an in-place decode, and the any-k
+  /// whole-block decode as the last resort.
+  void read_stripe(std::uint32_t file_id, std::uint32_t stripe,
+                   std::span<codes::Byte> dst,
+                   std::optional<std::chrono::milliseconds> hedge_after,
+                   std::chrono::steady_clock::time_point deadline)
+      EXCLUDES(mu_);
   /// Whole blocks of one stripe, fetched in `order` until k full-size ones
   /// are in hand (the any-k MDS fallback of both the read and the repair
   /// path); `on_block(index)`, when set, runs as each one lands.  Checks
@@ -545,7 +554,7 @@ class CarouselStore {
   // mutex and any Server::pool_mu, never the reverse.
   mutable util::Mutex mu_{util::LockRank::kStore};
   // The vector is guarded; the heap-allocated Servers it points at live as
-  // long as the store, so a read task may keep a Server* with no lock.
+  // long as the store, so a read may keep a Server* with no lock.
   std::vector<std::unique_ptr<Server>> servers_ GUARDED_BY(mu_);
   // True once any server carries a caller-chosen domain label (via
   // StoreOptions::domains or add_server(port, domain)).  Default stores
@@ -579,12 +588,6 @@ class CarouselStore {
   obs::Counter* rehome_bytes_read_ = nullptr;
   obs::Counter* budget_exhausted_ = nullptr;
   obs::Gauge* spare_servers_ = nullptr;
-
-  /// Fan-out workers for the read path.  Declared last on purpose: members
-  /// destroy in reverse order, so the pool's destructor joins any
-  /// still-draining hedge losers while servers_ and the instruments their
-  /// tasks touch are still alive.
-  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace carousel::net

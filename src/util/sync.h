@@ -99,8 +99,12 @@ enum class LockRank : int {
   // of the store trio (store counters nest mu_ -> pool_mu).
   kServerPool = 40,
 
-  // BlockServer::mu_ — per-op block map + session list; deliberately held
-  // across persistence I/O, never across another carousel lock.
+  // BlockServer::write_mu_ — serializes block mutations across their
+  // persistence I/O; takes BlockServer::mu_ for the in-memory swap.
+  kBlockServerWrite = 45,
+
+  // BlockServer::mu_ — block-map lookups and swaps + session list; never
+  // held across I/O or another carousel lock.
   kBlockServer = 50,
 
   // HealthMonitor::mu_ — tracked-server FSM state; taken under
@@ -114,9 +118,6 @@ enum class LockRank : int {
   // util::ThreadPool::mu_ — task queue; tasks run with no pool lock held,
   // so anything may submit() while holding nothing.
   kThreadPool = 70,
-
-  // Per-slot first-wins cells on the hedged read path (store.cpp read_file).
-  kSlotCell = 75,
 
   // FaultPlan::mu_ — injected-fault state, leaf under the block server.
   kFaultPlan = 80,

@@ -27,11 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -65,6 +60,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using codes::Byte;
+using test::PortHold;
 using test::random_bytes;
 
 std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
@@ -844,35 +840,6 @@ TEST(Chaos, CorrelatedFailureStormReprotectsEveryStripe) {
 // (five dead servers share one rack), re-protection must complete without
 // ever stacking more than n - k blocks of a stripe on one rack, and the
 // domain gauges must see both the outage and the recovery.
-// Keeps a dead server's port bound, but not listening, for the life of the
-// object: connects there are refused exactly as for a dead server, and no
-// other process (say, a test binary running beside this one) that binds
-// port 0 can take the port over and answer in the dead server's place.
-class PortHold {
- public:
-  explicit PortHold(std::uint16_t port)
-      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    bound_ = fd_ >= 0 && ::bind(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                sizeof addr) == 0;
-  }
-  ~PortHold() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  PortHold(const PortHold&) = delete;
-  PortHold& operator=(const PortHold&) = delete;
-  bool bound() const { return bound_; }
-
- private:
-  int fd_;
-  bool bound_ = false;
-};
-
 TEST(Chaos, RackDownSurvivesWithZeroDataLoss) {
   constexpr std::size_t kRacks = 3;
   codes::Carousel code(12, 6, 10, 10);

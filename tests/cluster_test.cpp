@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -56,7 +57,9 @@ HealthMonitor::Options fast_monitor() {
 }
 
 /// Fleet of RAM block servers whose members can be killed and revived on
-/// the same port mid-test.
+/// the same port mid-test.  A killed server's port stays held (bound, not
+/// listening) until its revive, so a test binary running beside this one
+/// cannot take the port over and answer in the dead server's place.
 class ClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -65,8 +68,12 @@ class ClusterTest : public ::testing::Test {
     for (const auto& s : servers_) ports_.push_back(s->port());
   }
 
-  void kill(std::size_t i) { servers_[i].reset(); }
+  void kill(std::size_t i) {
+    servers_[i].reset();
+    holds_[i] = std::make_unique<test::PortHold>(ports_[i]);
+  }
   void revive(std::size_t i) {
+    holds_.erase(i);
     servers_[i] = std::make_unique<BlockServer>(ports_[i]);
   }
 
@@ -92,6 +99,7 @@ class ClusterTest : public ::testing::Test {
   obs::MetricsRegistry registry_;
   std::vector<std::unique_ptr<BlockServer>> servers_;
   std::vector<std::uint16_t> ports_;
+  std::map<std::size_t, std::unique_ptr<test::PortHold>> holds_;
 };
 
 // ---- Failure detection ----------------------------------------------------

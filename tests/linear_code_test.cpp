@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "codes/carousel.h"
 #include "codes/msr.h"
 #include "codes/rs.h"
+#include "gf/backend.h"
 #include "matrix/echelon.h"
 #include "test_util.h"
 
@@ -285,6 +287,57 @@ TEST(LinearCode, ProjectUnitsRejectsSelfSource) {
   std::vector<Byte> out(8);
   EXPECT_THROW(rs.project_units(sources, 8, 0, out), std::invalid_argument);
   EXPECT_THROW(rs.project_units(sources, 8, 7, out), std::invalid_argument);
+}
+
+TEST(LinearCode, InPlaceDecodeUnitsMatchesScalarBackend) {
+  // The store's degraded read: the present slots' extents already sit at
+  // their output positions and are passed aliased into the output; parity
+  // stand-ins serve the missing slots' selection patterns.  The fused
+  // solve must give the scalar reference's bytes on every backend, and the
+  // aliased extents must come through untouched.
+  const Carousel c(12, 6, 10, 10);
+  const std::size_t K = c.data_units_per_block();
+  for (std::size_t ub : {1u, 67u, 4096u + 5u}) {
+    const std::size_t w = c.s() * ub;
+    const std::size_t extent = K * ub;
+    auto data = random_bytes(c.k() * w, static_cast<std::uint32_t>(ub) + 7);
+    std::vector<Byte> blob(c.n() * w);
+    c.encode(data, split_spans(blob, c.n()));
+    for (const std::vector<std::size_t>& missing :
+         {std::vector<std::size_t>{2}, std::vector<std::size_t>{0, 9}}) {
+      auto run = [&](gf::Backend backend) {
+        gf::ScopedBackend scoped(backend);
+        std::vector<Byte> out;
+        if (!scoped.ok()) return out;
+        out.assign(data.size(), 0xEE);
+        std::vector<UnitRef> units;
+        std::size_t next_parity = c.p();
+        for (std::size_t slot = 0; slot < c.p(); ++slot) {
+          if (std::find(missing.begin(), missing.end(), slot) ==
+              missing.end()) {
+            std::copy_n(blob.data() + slot * w, extent,
+                        out.data() + slot * extent);
+            for (std::size_t t = 0; t < K; ++t)
+              units.push_back({slot, t, out.data() + slot * extent + t * ub});
+            continue;
+          }
+          const std::size_t parity = next_parity++;
+          for (std::size_t pos : c.selection_pattern(slot))
+            units.push_back({parity, pos, blob.data() + parity * w + pos * ub});
+        }
+        c.decode_units(units, ub, out);
+        return out;
+      };
+      const auto reference = run(gf::Backend::kScalar);
+      ASSERT_EQ(reference, data) << "ub=" << ub;
+      for (gf::Backend backend : {gf::Backend::kAvx2, gf::Backend::kGfni}) {
+        const auto got = run(backend);
+        if (got.empty()) continue;  // not supported on this CPU
+        EXPECT_EQ(got, reference)
+            << gf::backend_name(backend) << " ub=" << ub;
+      }
+    }
+  }
 }
 
 }  // namespace

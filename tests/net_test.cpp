@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "codes/carousel.h"
@@ -19,6 +21,7 @@
 #include "net/client.h"
 #include "net/errors.h"
 #include "net/fault.h"
+#include "net/persistence.h"
 #include "net/scrubber.h"
 #include "net/store.h"
 #include "obs/metrics.h"
@@ -91,6 +94,49 @@ TEST(Socket, GatherSendKeepsPartOrderAcrossPartialWrites) {
   want.insert(want.end(), tail.begin(), tail.end());
   EXPECT_EQ(got, want);
   EXPECT_EQ(client.bytes_sent(), want.size());
+}
+
+TEST(Socket, ScatterRecvKeepsPartOrderAcrossShortReads) {
+  // The twin of the gather test: a small receive buffer and a sender that
+  // trickles the bytes out make recvmsg return short, mid-part, many
+  // times; the parts must still fill back to back, empty ones skipped.
+  TcpListener listener = TcpListener::bind(0);
+  auto head = random_bytes(5, 4);
+  auto big = random_bytes(1 << 20, 5);
+  auto tail = random_bytes(7, 6);
+  std::vector<std::uint8_t> sent = head;
+  sent.insert(sent.end(), big.begin(), big.end());
+  sent.insert(sent.end(), tail.begin(), tail.end());
+  std::thread server([&] {
+    TcpConn c = listener.accept();
+    // Three bytes first, so even the first part arrives in pieces.
+    std::size_t off = 0;
+    for (std::size_t step = 3; off < sent.size(); step = 4093) {
+      const std::size_t n = std::min(step, sent.size() - off);
+      c.send_all(sent.data() + off, n);
+      off += n;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  TcpConn client(fd);
+  client.set_io_timeout(std::chrono::milliseconds(5000));
+  std::vector<std::uint8_t> got_head(head.size()), got_big(big.size()),
+      got_tail(tail.size());
+  EXPECT_TRUE(client.recv_all({got_head, {}, got_big, got_tail}));
+  server.join();
+  EXPECT_EQ(got_head, head);
+  EXPECT_EQ(got_big, big);
+  EXPECT_EQ(got_tail, tail);
+  EXPECT_EQ(client.bytes_received(), sent.size());
 }
 
 TEST(Socket, RecvAllReportsCleanEof) {
@@ -1102,9 +1148,10 @@ TEST_F(StoreTest, HedgedReadWinsOverStraggler) {
   StoreOptions o;
   o.registry = &reg;
   o.policy = fast_policy();
-  // Generous socket timeout so the straggling primary eventually *answers*:
-  // the loser's response must be drained on its own pooled connection, not
-  // cut off by a timeout — that is the double-decode hazard under test.
+  // Generous socket timeout so the straggling primary is still due to
+  // answer when the hedge wins: its connection is closed with the answer
+  // pending, never read later by another request — the double-decode
+  // hazard under test.
   o.policy.io_timeout = std::chrono::milliseconds(2000);
   o.hedge.enabled = true;
   o.hedge.floor = std::chrono::milliseconds(5);
@@ -1135,10 +1182,10 @@ TEST_F(StoreTest, HedgedReadWinsOverStraggler) {
               1u);
   }
 
-  // The loser finishes its 800 ms stall in the background; its late frame
-  // lands on the connection its lease kept exclusive, so follow-up reads —
-  // issued while it may still be draining and again after — are bit-exact
-  // and nothing ever tears on the wire.
+  // The loser's server finishes its 800 ms stall in the background and
+  // finds the connection closed; follow-up reads — issued while it may
+  // still be stalled and again after — run on fresh connections, are
+  // bit-exact and nothing ever tears on the wire.
   EXPECT_EQ(store.read_file(41, file.size()), file);
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   EXPECT_EQ(store.read_file(41, file.size()), file);
@@ -1241,6 +1288,158 @@ TEST_F(StoreTest, ConcurrentReadsOverlapInWallClock) {
   // ...and concurrency bought real time: well under the serial cost (which
   // would be ~2 stall rounds), comfortably above-noise at 0.8x.
   EXPECT_LT(concurrent, serial * 8 / 10);
+}
+
+// ---- Pipelined stripe reads -----------------------------------------------
+
+TEST(PipelinedRead, StaleConnectionsAfterEveryServerRestartAreRetried) {
+  // Every server restarts on its own port (durable, so the blocks survive),
+  // which leaves every pooled connection stale: each pipelined range-GET
+  // fails, is retried once on a fresh connection, and the read stays
+  // bit-exact without a single stripe going degraded.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("carousel_stale_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  PersistentBlockStore::Options popts;
+  popts.fsync = false;
+  std::vector<std::unique_ptr<BlockServer>> servers;
+  std::vector<std::uint16_t> ports;
+  for (int i = 0; i < 12; ++i) {
+    servers.push_back(std::make_unique<BlockServer>(
+        0, dir / std::to_string(i), popts));
+    ports.push_back(servers.back()->port());
+  }
+  {
+    codes::Carousel code(12, 6, 10, 10);
+    const std::size_t block = code.s() * 64;
+    obs::MetricsRegistry reg;
+    CarouselStore store(code, ports, block, store_options(fast_policy(), &reg));
+    auto file = random_bytes(2 * code.k() * block - 99, 81);
+    store.put_file(61, file);
+    EXPECT_EQ(store.read_file(61, file.size()), file);  // pools now filled
+
+    for (int i = 0; i < 12; ++i) {
+      servers[i].reset();
+      servers[i] = std::make_unique<BlockServer>(
+          ports[i], dir / std::to_string(i), popts);
+    }
+    EXPECT_EQ(store.read_file(61, file.size()), file);
+    EXPECT_EQ(reg.snapshot().counters.at(
+                  "carousel_store_degraded_stripe_reads_total"),
+              0u);
+    EXPECT_GE(store.counters().retries, 1u);
+  }
+  servers.clear();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(StoreTest, WireCorruptedRangeGetIsRetriedNotDegraded) {
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 128;
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, store_options(fast_policy(), &reg));
+  auto file = random_bytes(code.k() * block, 82);
+  store.put_file(62, file);
+
+  // One GET_RANGE answer has a byte flipped in flight: the CRC over the
+  // destination bytes catches it, and the retry lands the clean range.
+  auto plan = std::make_shared<FaultPlan>(31);
+  plan->add({.action = FaultAction::kCorruptPayload,
+             .op = Op::kGetRange,
+             .max_hits = 1,
+             .corrupt_offset = 1000});
+  servers_[5]->set_fault_plan(plan);
+  EXPECT_EQ(store.read_file(62, file.size()), file);
+  EXPECT_EQ(store.counters().wire_corruptions, 1u);
+  EXPECT_EQ(reg.snapshot().counters.at(
+                "carousel_store_degraded_stripe_reads_total"),
+            0u);
+}
+
+TEST(BlockServerTest, RangeGetsRacingPutsSeeOneWholeVersion) {
+  // Readers verify and send a block snapshot with no lock held while PUTs
+  // of the same key swap new snapshots in: every answer must be one whole
+  // version, its CRC valid (the client checks it over the received bytes).
+  // Run under TSan by tools/verify.sh.
+  BlockServer server;
+  const BlockKey key{9, 0, 0};
+  const auto a = random_bytes(64 << 10, 91);
+  const auto b = random_bytes(64 << 10, 92);
+  Client(server.port(), fast_policy()).put(key, a);
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0}, bad{0};
+  std::atomic<std::uint64_t> corruptions{0};
+  std::thread writer([&] {
+    Client w(server.port(), fast_policy());
+    for (int i = 0; i < 400; ++i) {
+      try {
+        w.put(key, i % 2 ? a : b);
+      } catch (const Error&) {
+        ++bad;
+      }
+    }
+    stop = true;
+  });
+  std::vector<std::thread> readers;
+  for (std::uint32_t r = 0; r < 2; ++r)
+    readers.emplace_back([&, r] {
+      Client c(server.port(), fast_policy());
+      const std::uint32_t off = r * 1000;
+      std::vector<std::uint8_t> got(30000);
+      while (!stop.load()) {
+        try {
+          if (!c.get_range(key, off, got)) {
+            ++bad;
+            continue;
+          }
+        } catch (const Error&) {
+          ++bad;
+          continue;
+        }
+        const auto at = static_cast<std::ptrdiff_t>(off);
+        if (!std::equal(got.begin(), got.end(), a.begin() + at) &&
+            !std::equal(got.begin(), got.end(), b.begin() + at))
+          ++bad;
+        ++reads;
+      }
+      corruptions += c.counters().wire_corruptions;
+    });
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(corruptions.load(), 0u);
+}
+
+TEST_F(StoreTest, OneMissingBlockCostsPRangeGetsAndOneStandIn) {
+  // The stripe is fetched once: the missing block's NOT_FOUND goes straight
+  // to a §VII stand-in, and the healthy slots' extents, already in place,
+  // are decoded around — never fetched again.
+  codes::Carousel code(12, 6, 10, 10);
+  const std::size_t block = code.s() * 64;
+  obs::MetricsRegistry reg;
+  CarouselStore store(code, ports_, block, store_options(fast_policy(), &reg));
+  auto file = random_bytes(code.k() * block, 83);  // one stripe
+  store.put_file(63, file);
+  ASSERT_TRUE(store.drop_block(63, 0, 3));
+
+  auto served = [&](Op op) {
+    std::uint64_t total = 0;
+    for (const auto& s : servers_)
+      total += s->metrics().snapshot().counters.at(
+          obs::labeled("carousel_server_requests_total", "op", op_name(op)));
+    return total;
+  };
+  const std::uint64_t ranges = served(Op::kGetRange);
+  const std::uint64_t projects = served(Op::kProject);
+  EXPECT_EQ(store.read_file(63, file.size()), file);
+  EXPECT_EQ(served(Op::kGetRange) - ranges, code.p());
+  EXPECT_EQ(served(Op::kProject) - projects, 1u);
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("carousel_store_range_gets_total"), code.p());
+  EXPECT_EQ(snap.counters.at("carousel_store_degraded_stripe_reads_total"), 1u);
+  EXPECT_EQ(snap.counters.at("carousel_store_decode_fallback_stripes_total"),
+            0u);
 }
 
 // Regression for the Counters read-while-mutated race: counters(),

@@ -3,6 +3,11 @@
 #ifndef CAROUSEL_TESTS_TEST_UTIL_H
 #define CAROUSEL_TESTS_TEST_UTIL_H
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <random>
 #include <span>
@@ -58,6 +63,35 @@ inline std::vector<std::vector<std::size_t>> subsets(std::size_t n,
   rec(rec, 0);
   return out;
 }
+
+/// Keeps a dead server's port bound, but not listening, for the life of the
+/// object: connects there are refused exactly as for a dead server, and no
+/// other process (say, a test binary running beside this one) that binds
+/// port 0 can take the port over and answer in the dead server's place.
+class PortHold {
+ public:
+  explicit PortHold(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    bound_ = fd_ >= 0 && ::bind(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                sizeof addr) == 0;
+  }
+  ~PortHold() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PortHold(const PortHold&) = delete;
+  PortHold& operator=(const PortHold&) = delete;
+  bool bound() const { return bound_; }
+
+ private:
+  int fd_;
+  bool bound_ = false;
+};
 
 }  // namespace carousel::test
 

@@ -18,7 +18,9 @@
 #      other threads mutate them; the parallel read fan-out, hedge races and
 #      concurrent read_file overlap live here; the repair scheduler's
 #      tests too, since the store calls into the scheduler under its own
-#      mutex), plus a short chaos schedule
+#      mutex; and the cluster tests, since servers read block snapshots
+#      outside their lock while repair, rehome and drain run), plus a short
+#      chaos schedule
 #      under TSan — the foreground hedged reader races kills, restarts and
 #      heals — and the whole-rack-down acceptance scenario under TSan (a
 #      3-rack fleet loses a full failure domain mid-traffic and must serve
@@ -86,11 +88,12 @@ cmake --build build-asan -j --target util_test gf_test gf_simd_test \
 
 cmake -B build-tsan -S . -DCAROUSEL_SANITIZE=thread
 cmake --build build-tsan -j --target net_test obs_test property_test \
-  repair_scheduler_test chaos_test
+  repair_scheduler_test cluster_test chaos_test
 ./build-tsan/tests/net_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/property_test
 ./build-tsan/tests/repair_scheduler_test
+./build-tsan/tests/cluster_test
 CAROUSEL_CHAOS_SEED=20260805 CAROUSEL_CHAOS_EVENTS=60 \
   ./build-tsan/tests/chaos_test \
   --gtest_filter='Chaos.SeededFaultScheduleKeepsEveryInvariant'
