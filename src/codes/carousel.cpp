@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "gf/vect.h"
 #include "matrix/echelon.h"
 #include "obs/trace.h"
 
@@ -281,30 +280,31 @@ void Carousel::helper_compute(std::size_t helper, std::size_t failed,
   }
   // One projected unit per expansion coordinate u: the base helper vector
   // phi_failed applied across segments, with this block's reorder permutation
-  // folded into the coefficient positions (paper Fig. 4b).
-  auto coeffs = msr_base_->phi(failed);
+  // folded into the source positions (paper Fig. 4b).
+  std::vector<const Byte*> srcs(alpha());
   for (std::size_t u = 0; u < P_; ++u) {
-    Byte* dst = chunk_out.data() + u * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t a = 0; a < alpha(); ++a) {
-      std::size_t pos = store_pos(helper, a * P_ + u);
-      gf::mul_add_region(coeffs[a], block.data() + pos * ub, dst, ub);
-    }
+    for (std::size_t a = 0; a < alpha(); ++a)
+      srcs[a] = block.data() + store_pos(helper, a * P_ + u) * ub;
+    Byte* const dst[] = {chunk_out.data() + u * ub};
+    combine_regions(msr_base_->phi(failed), srcs, dst, ub);
   }
 }
 
 IoStats Carousel::newcomer_compute(
     std::size_t failed, std::span<const std::size_t> helpers,
     std::span<const std::span<const Byte>> chunks, std::span<Byte> out) const {
+  // Everything is checked before the first byte of out is written.
   if (helpers.size() != d() || chunks.size() != d())
     throw std::invalid_argument("repair needs exactly d helper chunks");
   const std::size_t chunk_bytes = chunks.front().size();
-  const std::size_t ub = chunk_bytes / helper_chunk_units();
-  if (out.size() != s() * ub)
-    throw std::invalid_argument("output must be one full block");
   for (auto ch : chunks)
     if (ch.size() != chunk_bytes)
       throw std::invalid_argument("chunks must share one size");
+  if (chunk_bytes % helper_chunk_units() != 0)
+    throw std::invalid_argument("chunk size must be a multiple of s/alpha");
+  const std::size_t ub = chunk_bytes / helper_chunk_units();
+  if (out.size() != s() * ub)
+    throw std::invalid_argument("output must be one full block");
 
   IoStats stats;
   stats.bytes_read = chunks.size() * chunk_bytes;
@@ -325,24 +325,18 @@ IoStats Carousel::newcomer_compute(
 
   const auto& ins = instruments();
   obs::ScopedTimer timer(*ins.repair_seconds);
+  const Matrix c = msr_base_->newcomer_combiner(failed, helpers);
   ins.repair_bytes_read->inc(stats.bytes_read);
-
-  Matrix w = msr_base_->repair_combiner(failed, helpers);
-  const Byte lam = msr_base_->lambda(failed);
-  // Solve the base repair system once per expansion coordinate.
-  std::vector<Byte> xy(2 * alpha() * ub);
+  // The base repair, once per expansion coordinate u: lost unit (a, u) is
+  // one dot product of the d chunks' units u, written at its stored
+  // position.
+  std::vector<const Byte*> srcs(d());
+  std::vector<Byte*> dsts(alpha());
   for (std::size_t u = 0; u < P_; ++u) {
-    std::fill(xy.begin(), xy.end(), 0);
-    for (std::size_t r = 0; r < 2 * alpha(); ++r)
-      for (std::size_t j = 0; j < helpers.size(); ++j)
-        gf::mul_add_region(w.at(r, j), chunks[j].data() + u * ub,
-                           xy.data() + r * ub, ub);
-    for (std::size_t a = 0; a < alpha(); ++a) {
-      std::size_t pos = store_pos(failed, a * P_ + u);
-      Byte* dst = out.data() + pos * ub;
-      std::memcpy(dst, xy.data() + a * ub, ub);
-      gf::mul_add_region(lam, xy.data() + (alpha() + a) * ub, dst, ub);
-    }
+    for (std::size_t j = 0; j < d(); ++j) srcs[j] = chunks[j].data() + u * ub;
+    for (std::size_t a = 0; a < alpha(); ++a)
+      dsts[a] = out.data() + store_pos(failed, a * P_ + u) * ub;
+    combine_regions(c.data(), srcs, dsts, ub);
   }
   return stats;
 }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 #include "gf/vect.h"
@@ -12,6 +13,37 @@
 #include "obs/trace.h"
 
 namespace carousel::codes {
+
+void combine_regions(std::span<const Byte> coeffs,
+                     std::span<const Byte* const> srcs,
+                     std::span<Byte* const> dsts, std::size_t n) {
+  const std::size_t nsrc = srcs.size();
+  if (coeffs.size() != dsts.size() * nsrc)
+    throw std::invalid_argument(
+        "combine_regions: need one coefficient per (output, source)");
+  // Nonzero support -> the rows that share it.
+  std::map<std::vector<std::size_t>, std::vector<std::size_t>> groups;
+  for (std::size_t r = 0; r < dsts.size(); ++r) {
+    std::vector<std::size_t> support;
+    for (std::size_t i = 0; i < nsrc; ++i)
+      if (coeffs[r * nsrc + i] != 0) support.push_back(i);
+    groups[std::move(support)].push_back(r);
+  }
+  std::vector<const Byte*> group_srcs;
+  std::vector<Byte*> group_dsts;
+  std::vector<Byte> group_coeffs;
+  for (const auto& [support, rows] : groups) {
+    group_srcs.clear();
+    for (std::size_t i : support) group_srcs.push_back(srcs[i]);
+    group_dsts.clear();
+    group_coeffs.clear();
+    for (std::size_t r : rows) {
+      group_dsts.push_back(dsts[r]);
+      for (std::size_t i : support) group_coeffs.push_back(coeffs[r * nsrc + i]);
+    }
+    gf::dot_prod_regions(group_coeffs, group_srcs, group_dsts, n);
+  }
+}
 
 const LinearCode::Instruments& LinearCode::instruments() const {
   std::call_once(instruments_once_, [this] {
@@ -253,19 +285,13 @@ IoStats LinearCode::decode_from_available(
   if (block_bytes % s_ != 0)
     throw std::invalid_argument("block size must be a multiple of s");
   const std::size_t ub = block_bytes / s_;
-  const std::size_t m = message_units();
-  if (data_out.size() != m * ub)
-    throw std::invalid_argument("output buffer has wrong size");
-  const auto& ins = instruments();
-  obs::ScopedTimer timer(*ins.decode_seconds);
 
-  // Pass 1: copy every verbatim message unit and seed the rank basis with
-  // the corresponding identity rows.
-  matrix::EchelonBasis basis(m);
-  std::vector<bool> have(m, false);
+  // Pass 1: every verbatim message unit, once, seeds the rank basis with
+  // its identity row.
+  matrix::EchelonBasis basis(message_units());
+  std::vector<UnitRef> units;
   std::vector<UnitRef> parity_pool;
   std::vector<bool> seen(n(), false);
-  IoStats stats;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] >= n() || seen[ids[i]])
       throw std::invalid_argument("ids must be distinct blocks");
@@ -273,86 +299,26 @@ IoStats LinearCode::decode_from_available(
     if (blocks[i].size() != block_bytes)
       throw std::invalid_argument("blocks must share one size");
     for (std::size_t t = 0; t < s_; ++t) {
-      std::ptrdiff_t col = identity_col_[ids[i] * s_ + t];
-      if (col >= 0) {
-        std::memcpy(data_out.data() + static_cast<std::size_t>(col) * ub,
-                    blocks[i].data() + t * ub, ub);
-        if (!have[static_cast<std::size_t>(col)]) {
-          have[static_cast<std::size_t>(col)] = true;
-          basis.try_insert(unit_row(ids[i], t));
-          stats.bytes_read += ub;
-        }
-      } else {
-        parity_pool.push_back({ids[i], t, blocks[i].data() + t * ub});
-      }
+      const UnitRef u{ids[i], t, blocks[i].data() + t * ub};
+      if (identity_col_[ids[i] * s_ + t] < 0)
+        parity_pool.push_back(u);
+      else if (basis.try_insert(unit_row(ids[i], t)))
+        units.push_back(u);
     }
   }
-
   // Pass 2: complete the rank with the fewest parity units.
-  std::vector<UnitRef> solver_units;
   for (const auto& u : parity_pool) {
     if (basis.full()) break;
-    if (basis.try_insert(unit_row(u.block, u.pos))) {
-      solver_units.push_back(u);
-      stats.bytes_read += ub;
-    }
+    if (basis.try_insert(unit_row(u.block, u.pos))) units.push_back(u);
   }
   if (!basis.full())
     throw std::runtime_error(
         "decode_from_available: blocks do not span the message space");
+  // Exactly k*s jointly decodable units: the verbatim ones are copied and
+  // each missing unit is one fused combination of the parity units and
+  // the known units it depends on.
+  IoStats stats = decode_units(units, ub, data_out);
   stats.sources = ids.size();
-  ins.decode_bytes_read->inc(stats.bytes_read);
-
-  if (solver_units.empty()) return stats;  // fully systematic read
-
-  // Solve only for the missing message units, over the reduced system of
-  // known units + selected parity units.
-  const std::size_t unknowns =
-      static_cast<std::size_t>(std::count(have.begin(), have.end(), false));
-  // System: for each selected parity unit, its value minus the contribution
-  // of known message units equals the combination of unknown units.
-  std::vector<std::size_t> unknown_ids;
-  unknown_ids.reserve(unknowns);
-  std::vector<std::size_t> unknown_pos(m, 0);
-  for (std::size_t j = 0; j < m; ++j)
-    if (!have[j]) {
-      unknown_pos[j] = unknown_ids.size();
-      unknown_ids.push_back(j);
-    }
-  if (solver_units.size() != unknowns)
-    throw std::logic_error("rank completion does not match unknown count");
-
-  Matrix a(unknowns, unknowns);
-  for (std::size_t r = 0; r < solver_units.size(); ++r) {
-    auto row = unit_row(solver_units[r].block, solver_units[r].pos);
-    for (std::size_t j = 0; j < m; ++j)
-      if (!have[j]) a.at(r, unknown_pos[j]) = row[j];
-  }
-  auto inv = a.inverse();
-  if (!inv)
-    throw std::logic_error(
-        "decode_from_available: reduced system singular after rank check");
-
-  // rhs_r = parity_value_r - sum over known units of coeff * value.
-  std::vector<Byte> rhs(unknowns * ub);
-  for (std::size_t r = 0; r < solver_units.size(); ++r) {
-    Byte* dst = rhs.data() + r * ub;
-    std::memcpy(dst, solver_units[r].bytes, ub);
-    const std::size_t row_index =
-        solver_units[r].block * s_ + solver_units[r].pos;
-    for (std::size_t j : support_[row_index])
-      if (have[j])
-        gf::mul_add_region(g_.at(row_index, j), data_out.data() + j * ub, dst,
-                           ub);
-  }
-  for (std::size_t u = 0; u < unknowns; ++u) {
-    Byte* dst = data_out.data() + unknown_ids[u] * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t r = 0; r < unknowns; ++r) {
-      Byte c = inv->at(u, r);
-      if (c != 0) gf::mul_add_region(c, rhs.data() + r * ub, dst, ub);
-    }
-  }
   return stats;
 }
 
@@ -394,23 +360,18 @@ IoStats LinearCode::project_units(std::span<const UnitRef> sources,
       }
   }
   ins.repair_bytes_read->inc(stats.bytes_read);
-  // Combination row for target unit t: G_row(target, t) * inv.  The
-  // generator row is sparse (<= k*alpha nonzeros), so each combination costs
-  // one sparse vector-matrix product on small matrices plus the region work.
-  for (std::size_t t = 0; t < s_; ++t) {
-    const std::size_t r = target * s_ + t;
-    std::vector<Byte> comb(m, 0);
-    for (std::size_t c : support_[r]) {
-      Byte g = g_.at(r, c);
-      for (std::size_t j = 0; j < m; ++j)
-        comb[j] ^= gf::mul(g, inv->at(c, j));
-    }
-    Byte* dst = out.data() + t * unit_bytes;
-    gf::zero_region(dst, unit_bytes);
-    for (std::size_t j = 0; j < m; ++j)
-      if (comb[j] != 0)
-        gf::mul_add_region(comb[j], sources[j].bytes, dst, unit_bytes);
-  }
+  // Combination rows G_target * inv: the generator rows are sparse
+  // (<= k*alpha nonzeros), so this is a sparse product of small matrices,
+  // and the rows of one support share a fused pass over the sources.
+  std::vector<std::size_t> rows(s_);
+  std::iota(rows.begin(), rows.end(), target * s_);
+  const Matrix comb = g_.select_rows(rows).mul(*inv);
+  std::vector<const Byte*> srcs;
+  for (const auto& u : sources) srcs.push_back(u.bytes);
+  std::vector<Byte*> dsts;
+  for (std::size_t t = 0; t < s_; ++t)
+    dsts.push_back(out.data() + t * unit_bytes);
+  combine_regions(comb.data(), srcs, dsts, unit_bytes);
   return stats;
 }
 

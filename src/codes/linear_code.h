@@ -39,6 +39,17 @@ struct UnitRef {
   const Byte* bytes = nullptr;
 };
 
+/// dsts[r] = sum_i coeffs[r * srcs.size() + i] * srcs[i] over n bytes for
+/// every output r (coeffs row-major, as in gf::dot_prod_regions), skipping
+/// zero coefficients: the rows are grouped by nonzero support and each group
+/// is one fused gf::dot_prod_regions call over that support.  A row with no
+/// nonzero coefficient zero-fills its output.  No destination may overlap a
+/// source or another destination.  Every region combination in src/codes
+/// goes through here or through gf::dot_prod_regions directly.
+void combine_regions(std::span<const Byte> coeffs,
+                     std::span<const Byte* const> srcs,
+                     std::span<Byte* const> dsts, std::size_t n);
+
 /// Byte-accounting result of a decode or reconstruction, used by the traffic
 /// benchmarks (paper Fig. 7).
 struct IoStats {

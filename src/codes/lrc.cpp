@@ -81,14 +81,16 @@ IoStats LocalReconstructionCode::reconstruct(
   if (failed < params().k + groups_) {
     // XOR the survivors of the local group (the local parity is the plain
     // sum of its group, so every member is the XOR of the others).
-    gf::zero_region(out.data(), out.size());
+    std::vector<const Byte*> srcs;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (group_of(ids[i]) != group_of(failed))
         throw std::invalid_argument("LRC repair: helper outside the group");
       if (blocks[i].size() != w)
         throw std::invalid_argument("blocks must share one size");
-      gf::xor_region(blocks[i].data(), out.data(), w);
+      srcs.push_back(blocks[i].data());
     }
+    const std::vector<Byte> ones(srcs.size(), 1);
+    gf::dot_prod_region(ones, srcs, out.data(), w);
     IoStats stats;
     stats.bytes_read = ids.size() * w;
     stats.sources = ids.size();

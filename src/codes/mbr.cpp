@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "gf/vect.h"
 #include "matrix/echelon.h"
 
 namespace carousel::codes {
@@ -44,9 +43,6 @@ ProductMatrixMBR::ProductMatrixMBR(std::size_t n, std::size_t k,
         if (v == static_cast<std::size_t>(-1)) continue;
         gen_.at(i * d + a, v) ^= psi_.at(i, r);
       }
-  row_support_.reserve(gen_.rows());
-  for (std::size_t r = 0; r < gen_.rows(); ++r)
-    row_support_.push_back(gen_.row_support(r));
 }
 
 void ProductMatrixMBR::encode(std::span<const Byte> data,
@@ -55,17 +51,18 @@ void ProductMatrixMBR::encode(std::span<const Byte> data,
     throw std::invalid_argument("data size must be a multiple of B units");
   if (blocks.size() != n_) throw std::invalid_argument("need n output blocks");
   const std::size_t ub = data.size() / b_;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (blocks[i].size() != alpha() * ub)
+  std::vector<const Byte*> srcs;
+  for (std::size_t c = 0; c < b_; ++c) srcs.push_back(data.data() + c * ub);
+  std::vector<Byte*> dsts;
+  for (auto block : blocks) {
+    if (block.size() != alpha() * ub)
       throw std::invalid_argument("block buffer has wrong size");
-    for (std::size_t a = 0; a < alpha(); ++a) {
-      const std::size_t r = i * alpha() + a;
-      Byte* dst = blocks[i].data() + a * ub;
-      gf::zero_region(dst, ub);
-      for (std::size_t c : row_support_[r])
-        gf::mul_add_region(gen_.at(r, c), data.data() + c * ub, dst, ub);
-    }
+    for (std::size_t a = 0; a < alpha(); ++a)
+      dsts.push_back(block.data() + a * ub);
   }
+  // Every stored unit is one generator row applied to the message units;
+  // rows of one support share a fused pass.
+  combine_regions(gen_.data(), srcs, dsts, ub);
 }
 
 IoStats ProductMatrixMBR::decode(std::span<const std::size_t> ids,
@@ -106,14 +103,9 @@ IoStats ProductMatrixMBR::decode(std::span<const std::size_t> ids,
   stats.sources = k_;
   auto inv = a.inverse();
   if (!inv) throw std::logic_error("MBR decode: chosen rows singular");
-  for (std::size_t m = 0; m < b_; ++m) {
-    Byte* dst = data_out.data() + m * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t j = 0; j < b_; ++j) {
-      Byte c = inv->at(m, j);
-      if (c != 0) gf::mul_add_region(c, chosen[j], dst, ub);
-    }
-  }
+  std::vector<Byte*> dsts;
+  for (std::size_t m = 0; m < b_; ++m) dsts.push_back(data_out.data() + m * ub);
+  combine_regions(inv->data(), chosen, dsts, ub);
   return stats;
 }
 
@@ -127,10 +119,10 @@ void ProductMatrixMBR::helper_compute(std::size_t helper, std::size_t failed,
   const std::size_t ub = block.size() / alpha();
   if (chunk_out.size() != ub)
     throw std::invalid_argument("chunk buffer must hold one unit");
-  gf::zero_region(chunk_out.data(), ub);
-  for (std::size_t a = 0; a < alpha(); ++a)
-    gf::mul_add_region(psi_.at(failed, a), block.data() + a * ub,
-                       chunk_out.data(), ub);
+  std::vector<const Byte*> srcs(alpha());
+  for (std::size_t a = 0; a < alpha(); ++a) srcs[a] = block.data() + a * ub;
+  Byte* const dst[] = {chunk_out.data()};
+  combine_regions(psi_.row(failed), srcs, dst, ub);
 }
 
 IoStats ProductMatrixMBR::newcomer_compute(
@@ -139,6 +131,9 @@ IoStats ProductMatrixMBR::newcomer_compute(
   if (helpers.size() != d_ || chunks.size() != d_)
     throw std::invalid_argument("MBR repair needs exactly d helpers");
   const std::size_t ub = chunks.front().size();
+  for (auto ch : chunks)
+    if (ch.size() != ub)
+      throw std::invalid_argument("chunks must share one size");
   if (out.size() != alpha() * ub)
     throw std::invalid_argument("output must be one full block");
   std::vector<std::size_t> rows;
@@ -152,16 +147,11 @@ IoStats ProductMatrixMBR::newcomer_compute(
   auto inv = psi_.select_rows(rows).inverse();
   if (!inv) throw std::logic_error("MBR repair system singular");
   // v = M psi_f; by symmetry of M the failed block IS v transposed.
-  for (std::size_t a = 0; a < alpha(); ++a) {
-    Byte* dst = out.data() + a * ub;
-    gf::zero_region(dst, ub);
-    for (std::size_t j = 0; j < d_; ++j) {
-      if (chunks[j].size() != ub)
-        throw std::invalid_argument("chunks must share one size");
-      Byte c = inv->at(a, j);
-      if (c != 0) gf::mul_add_region(c, chunks[j].data(), dst, ub);
-    }
-  }
+  std::vector<const Byte*> srcs;
+  for (auto ch : chunks) srcs.push_back(ch.data());
+  std::vector<Byte*> dsts;
+  for (std::size_t a = 0; a < alpha(); ++a) dsts.push_back(out.data() + a * ub);
+  combine_regions(inv->data(), srcs, dsts, ub);
   IoStats stats;
   stats.bytes_read = d_ * ub;  // exactly one block size: the MBR bound
   stats.sources = d_;

@@ -20,7 +20,6 @@
 #define CAROUSEL_CODES_MBR_H
 
 #include <span>
-#include <vector>
 
 #include "codes/linear_code.h"  // Byte, IoStats
 #include "matrix/matrix.h"
@@ -73,7 +72,6 @@ class ProductMatrixMBR {
   std::size_t n_, k_, d_, b_;
   matrix::Matrix psi_;   // n x d Vandermonde
   matrix::Matrix gen_;   // (n*alpha) x B generator over message units
-  std::vector<std::vector<std::size_t>> row_support_;
 };
 
 }  // namespace carousel::codes

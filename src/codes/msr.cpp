@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "gf/vect.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -127,10 +126,10 @@ void ProductMatrixMSR::helper_compute(std::size_t helper, std::size_t failed,
   const std::size_t ub = block.size() / s();
   if (chunk_out.size() != ub)
     throw std::invalid_argument("chunk buffer must hold one unit");
-  auto coeffs = phi(failed);
-  gf::zero_region(chunk_out.data(), ub);
-  for (std::size_t a = 0; a < alpha(); ++a)
-    gf::mul_add_region(coeffs[a], block.data() + a * ub, chunk_out.data(), ub);
+  std::vector<const Byte*> srcs(alpha());
+  for (std::size_t a = 0; a < alpha(); ++a) srcs[a] = block.data() + a * ub;
+  Byte* const dst[] = {chunk_out.data()};
+  combine_regions(phi(failed), srcs, dst, ub);
 }
 
 Matrix ProductMatrixMSR::repair_combiner(
@@ -161,36 +160,39 @@ Matrix ProductMatrixMSR::repair_combiner(
   return inv->select_cols(cols);
 }
 
+Matrix ProductMatrixMSR::newcomer_combiner(
+    std::size_t failed, std::span<const std::size_t> helpers) const {
+  const Matrix w = repair_combiner(failed, helpers);
+  const Byte lam = lambda(failed);
+  Matrix c(alpha(), d());
+  for (std::size_t a = 0; a < alpha(); ++a)
+    for (std::size_t j = 0; j < d(); ++j)
+      c.at(a, j) = w.at(a, j) ^ gf::mul(lam, w.at(alpha() + a, j));
+  return c;
+}
+
 IoStats ProductMatrixMSR::newcomer_compute(
     std::size_t failed, std::span<const std::size_t> helpers,
     std::span<const std::span<const Byte>> chunks, std::span<Byte> out) const {
-  if (chunks.size() != helpers.size())
-    throw std::invalid_argument("one chunk per helper required");
-  Matrix w = repair_combiner(failed, helpers);
+  // Everything is checked before the first byte of out is written.
+  if (helpers.size() != d() || chunks.size() != d())
+    throw std::invalid_argument("MSR repair needs exactly d helper chunks");
   const std::size_t ub = chunks.front().size();
+  for (auto ch : chunks)
+    if (ch.size() != ub)
+      throw std::invalid_argument("chunks must share one size");
   if (out.size() != s() * ub)
     throw std::invalid_argument("output must be one full block");
+  const Matrix c = newcomer_combiner(failed, helpers);
 
   const auto& ins = instruments();
   obs::ScopedTimer timer(*ins.repair_seconds);
   ins.repair_bytes_read->inc(helpers.size() * ub);
-
-  // xy rows 0..alpha-1 = S1 phi_f, rows alpha..2alpha-1 = S2 phi_f.
-  std::vector<Byte> xy(2 * alpha() * ub, 0);
-  for (std::size_t r = 0; r < 2 * alpha(); ++r)
-    for (std::size_t j = 0; j < helpers.size(); ++j) {
-      if (chunks[j].size() != ub)
-        throw std::invalid_argument("chunks must share one size");
-      gf::mul_add_region(w.at(r, j), chunks[j].data(), xy.data() + r * ub, ub);
-    }
-
-  const Byte lam = lambda(failed);
-  for (std::size_t a = 0; a < alpha(); ++a) {
-    Byte* dst = out.data() + a * ub;
-    std::copy(xy.begin() + static_cast<std::ptrdiff_t>(a * ub),
-              xy.begin() + static_cast<std::ptrdiff_t>((a + 1) * ub), dst);
-    gf::mul_add_region(lam, xy.data() + (alpha() + a) * ub, dst, ub);
-  }
+  std::vector<const Byte*> srcs;
+  for (auto ch : chunks) srcs.push_back(ch.data());
+  std::vector<Byte*> dsts;
+  for (std::size_t a = 0; a < alpha(); ++a) dsts.push_back(out.data() + a * ub);
+  combine_regions(c.data(), srcs, dsts, ub);
   IoStats stats;
   stats.bytes_read = helpers.size() * ub;
   stats.sources = helpers.size();

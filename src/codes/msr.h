@@ -20,7 +20,8 @@
 // Repair protocol (paper §IV, Fig. 8's "helpers" and "newcomer"):
 //   helper j sends one segment: mu_j = (its alpha segments) . phi_f;
 //   the newcomer solves Psi_rep [S1 phi_f; S2 phi_f] = mu and re-assembles
-//   content_f[a] = (S1 phi_f)[a] + lambda_f (S2 phi_f)[a].
+//   content_f[a] = (S1 phi_f)[a] + lambda_f (S2 phi_f)[a] -- both stages
+//   linear in mu, so each rebuilt segment is one dot product of the chunks.
 
 #ifndef CAROUSEL_CODES_MSR_H
 #define CAROUSEL_CODES_MSR_H
@@ -68,6 +69,12 @@ class ProductMatrixMSR : public LinearCode {
   /// shortening already folded in).  Exposed for Carousel.
   Matrix repair_combiner(std::size_t failed,
                          std::span<const std::size_t> helpers) const;
+
+  /// The newcomer's two stages folded into one alpha x d matrix: row a is
+  /// W_a + lambda_f * W_{alpha+a} (W = repair_combiner), so unit a of the
+  /// failed block is one dot product of the d chunks.  Exposed for Carousel.
+  Matrix newcomer_combiner(std::size_t failed,
+                           std::span<const std::size_t> helpers) const;
 
  private:
   // Base (unshortened) code geometry.

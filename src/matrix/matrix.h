@@ -44,6 +44,8 @@ class Matrix {
   std::span<const Byte> row(std::size_t r) const {
     return {&data_[r * cols_], cols_};
   }
+  /// Every entry, row-major: rows() x cols().
+  std::span<const Byte> data() const { return data_; }
 
   bool operator==(const Matrix&) const = default;
 

@@ -352,6 +352,14 @@ std::optional<std::vector<std::uint8_t>> Client::project(
   return std::move(body);
 }
 
+bool Client::project(const BlockKey& key, std::uint32_t unit_bytes,
+                     const Projection& outputs, std::span<std::uint8_t> dst) {
+  auto [status, body] =
+      call(Op::kProject, project_request(key, unit_bytes, outputs).data(),
+           {.checksummed = true}, {}, &dst);
+  return status == Status::kOk;
+}
+
 void Client::send_get_range(const BlockKey& key, std::uint32_t offset,
                             std::uint32_t length) {
   begin(Op::kGetRange, range_request(key, offset, length).data());

@@ -90,6 +90,12 @@ class Client {
   std::optional<std::vector<std::uint8_t>> project(const BlockKey& key,
                                                    std::uint32_t unit_bytes,
                                                    const Projection& outputs);
+  /// The same PROJECT with the outputs landing in `dst`, which must hold
+  /// exactly outputs.size() * unit_bytes bytes (an answer of any other
+  /// length is a ProtocolError): the CRC is checked over the destination
+  /// bytes, so no body buffer and no copy.  False when the block is missing.
+  bool project(const BlockKey& key, std::uint32_t unit_bytes,
+               const Projection& outputs, std::span<std::uint8_t> dst);
   /// Returns false when the block was not held.
   bool remove(const BlockKey& key);
   struct Stats {

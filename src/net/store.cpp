@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -747,7 +748,7 @@ void CarouselStore::read_stripe(
     // stand-in's parity block) to repeat once through try_fetch.
     std::optional<std::size_t> retry;
     std::size_t stand_in_from = 0;
-    std::vector<Byte> stand_in;
+    std::unique_ptr<Byte[]> stand_in;  // stand_in_bytes(slot), uninitialized
   };
   std::vector<Slot> slots(p);
   auto settled = [&](std::size_t slot) {
@@ -762,7 +763,7 @@ void CarouselStore::read_stripe(
     bool hedge;
     Lease lease;
     Clock::time_point sent;
-    std::vector<Byte> body;  // a stand-in's answer; a primary's is in dst
+    std::unique_ptr<Byte[]> body;  // a stand-in's answer; a primary's is in dst
     bool done = false;
   };
   std::vector<Exchange> live;
@@ -779,6 +780,11 @@ void CarouselStore::read_stripe(
   auto extent_of = [&](std::size_t slot) {
     return dst.subspan(slot * extent, extent);
   };
+  // A stand-in's answer: the slot's selection pattern, k/p of a block.  The
+  // receive overwrites every byte, so it is allocated uninitialized.
+  auto stand_in_bytes = [&](std::size_t slot) {
+    return code_->selection_pattern(slot).size() * ub;
+  };
   auto send = [&](std::size_t slot, std::size_t from, bool hedge) {
     Server& srv = from == kPrimary
                       ? *homes[slot]
@@ -792,7 +798,7 @@ void CarouselStore::read_stripe(
         ex.lease->send_get_range(block_key(slot), 0,
                                  static_cast<std::uint32_t>(extent));
       } else {
-        ex.body.resize(code_->selection_pattern(slot).size() * ub);
+        ex.body = std::make_unique_for_overwrite<Byte[]>(stand_in_bytes(slot));
         ex.lease->send_project(block_key(from), static_cast<std::uint32_t>(ub),
                                projection(slot));
       }
@@ -823,8 +829,9 @@ void CarouselStore::read_stripe(
     const bool primary = ex.from == kPrimary;
     bool found = false;
     try {
-      found = ex.lease->receive_into(primary ? extent_of(ex.slot)
-                                             : std::span<Byte>(ex.body));
+      found = ex.lease->receive_into(
+          primary ? extent_of(ex.slot)
+                  : std::span<Byte>(ex.body.get(), stand_in_bytes(ex.slot)));
       if (primary)
         range_get_seconds_->observe(
             std::chrono::duration<double>(Clock::now() - ex.sent).count());
@@ -929,14 +936,13 @@ void CarouselStore::read_stripe(
       const auto proj = projection(slot);
       Server& srv =
           home_server(file_id, stripe, static_cast<std::uint32_t>(from));
+      auto body = std::make_unique_for_overwrite<Byte[]>(stand_in_bytes(slot));
       if (try_fetch(srv, [&](Client& c) {
             c.count_retry();
-            auto r = c.project(block_key(from), static_cast<std::uint32_t>(ub),
-                               proj);
-            if (!r || r->size() != proj.size() * ub) return false;
-            sl.stand_in = std::move(*r);
-            return true;
+            return c.project(block_key(from), static_cast<std::uint32_t>(ub),
+                             proj, {body.get(), stand_in_bytes(slot)});
           })) {
+        sl.stand_in = std::move(body);
         sl.got = Got::kStandIn;
         sl.stand_in_from = from;
       }
@@ -992,7 +998,7 @@ void CarouselStore::read_stripe(
       const auto pattern = code_->selection_pattern(slot);
       for (std::size_t j = 0; j < pattern.size(); ++j)
         units.push_back({slots[slot].stand_in_from, pattern[j],
-                         slots[slot].stand_in.data() + j * ub});
+                         slots[slot].stand_in.get() + j * ub});
     }
     code_->decode_units(units, ub, dst);
     return;
@@ -1180,7 +1186,10 @@ std::uint64_t CarouselStore::repair_block_impl(
     }
   }
 
-  std::vector<Byte> rebuilt(block_bytes_);
+  // Every byte of the rebuilt block is written by the newcomer or the
+  // whole-block fallback, so it starts uninitialized.
+  const auto rebuilt_store = std::make_unique_for_overwrite<Byte[]>(block_bytes_);
+  const std::span<Byte> rebuilt(rebuilt_store.get(), block_bytes_);
   bool have_block = false;
 
   if (!code_->params().trivial_repair() && survivors.size() >= code_->d()) {
@@ -1192,7 +1201,11 @@ std::uint64_t CarouselStore::repair_block_impl(
     std::vector<std::size_t> helpers = choose_helpers(
         file_id, stripe, survivors, code_->d(),
         block_bytes_ / code_->params().alpha());
-    std::vector<std::vector<Byte>> chunk_store;
+    // The d chunks land side by side in one uninitialized slab.
+    const std::size_t chunk_bytes = code_->helper_chunk_units() * ub;
+    const auto slab =
+        std::make_unique_for_overwrite<Byte[]>(helpers.size() * chunk_bytes);
+    std::vector<std::span<const Byte>> chunks;
     bool complete = true;
     for (std::size_t h : helpers) {
       check_budget(deadline, budget_exhausted_, "repair_block");
@@ -1204,23 +1217,20 @@ std::uint64_t CarouselStore::repair_block_impl(
           wire.back().push_back({static_cast<std::uint32_t>(pos), coeff});
       }
       const auto h32 = static_cast<std::uint32_t>(h);
-      std::optional<std::vector<Byte>> resp;
+      const std::span<Byte> chunk(slab.get() + chunks.size() * chunk_bytes,
+                                  chunk_bytes);
       if (!try_fetch(home_server(file_id, stripe, h32), [&](Client& c) {
-            resp = c.project(key(file_id, stripe, h32),
-                             static_cast<std::uint32_t>(ub), wire);
-            return resp.has_value();
-          }) ||
-          !resp) {
+            return c.project(key(file_id, stripe, h32),
+                             static_cast<std::uint32_t>(ub), wire, chunk);
+          })) {
         complete = false;
         break;
       }
-      fetched += resp->size();
-      observe_traffic(placement_of(file_id, stripe, h32), resp->size(), 0);
-      chunk_store.push_back(std::move(*resp));
+      fetched += chunk_bytes;
+      observe_traffic(placement_of(file_id, stripe, h32), chunk_bytes, 0);
+      chunks.emplace_back(chunk);
     }
     if (complete) {
-      std::vector<std::span<const Byte>> chunks;
-      for (const auto& c : chunk_store) chunks.emplace_back(c);
       code_->newcomer_compute(index, helpers, chunks, rebuilt);
       have_block = true;
     }

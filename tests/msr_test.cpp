@@ -170,6 +170,36 @@ TEST(ProductMatrixMSR, HelperValidation) {
   EXPECT_THROW(msr.repair_combiner(0, with_failed), std::invalid_argument);
 }
 
+TEST(ProductMatrixMSR, NewcomerChecksEveryChunkBeforeWriting) {
+  // The newcomer writes straight into out, so a bad chunk or helper list
+  // must be caught before its first byte lands there.
+  ProductMatrixMSR msr(6, 3, 4);
+  const std::size_t ub = 8;
+  auto [data, blob] = make_stripe(msr, ub);
+  auto views = split_const_spans(blob, 6);
+  const std::vector<std::size_t> helpers = {5, 2, 4, 1};
+  std::vector<std::vector<Byte>> chunk_store;
+  for (std::size_t h : helpers) {
+    chunk_store.emplace_back(ub);
+    msr.helper_compute(h, 0, views[h], chunk_store.back());
+  }
+  chunk_store.back().pop_back();  // the last chunk comes up one byte short
+  std::vector<std::span<const Byte>> chunks(chunk_store.begin(),
+                                            chunk_store.end());
+  const std::vector<Byte> sentinel(msr.s() * ub, 0xA5);
+  std::vector<Byte> out = sentinel;
+  EXPECT_THROW(msr.newcomer_compute(0, helpers, chunks, out),
+               std::invalid_argument);
+  EXPECT_EQ(out, sentinel);
+
+  chunk_store.back().push_back(0);
+  chunks.assign(chunk_store.begin(), chunk_store.end());
+  const std::vector<std::size_t> dup_helpers = {5, 2, 2, 1};
+  EXPECT_THROW(msr.newcomer_compute(0, dup_helpers, chunks, out),
+               std::invalid_argument);
+  EXPECT_EQ(out, sentinel);
+}
+
 TEST(ProductMatrixMSR, LambdasDistinctAndPhiWellFormed) {
   ProductMatrixMSR msr(20, 10, 19);  // the paper's largest Fig. 6 point
   std::vector<Byte> lambdas;

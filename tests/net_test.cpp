@@ -204,6 +204,24 @@ TEST(BlockServerTest, ProjectComputesLinearCombos) {
   }
 }
 
+TEST(BlockServerTest, ProjectLandsInTheCallersBuffer) {
+  BlockServer server;
+  Client client(server.port());
+  BlockKey key{3, 0, 1};
+  const std::size_t ub = 96, units = 5;
+  client.put(key, random_bytes(units * ub, 6));
+  Client::Projection proj = {{{4, 9}, {0, 2}, {2, 1}}, {{3, 1}}};
+  auto want = client.project(key, ub, proj);
+  ASSERT_TRUE(want.has_value());
+  std::vector<std::uint8_t> dst(proj.size() * ub);
+  ASSERT_TRUE(client.project(key, ub, proj, dst));
+  EXPECT_EQ(dst, *want);
+  // An answer of another length than the caller's buffer is refused.
+  std::vector<std::uint8_t> short_dst(dst.size() - 1);
+  EXPECT_THROW(client.project(key, ub, proj, short_dst), ProtocolError);
+  EXPECT_FALSE(client.project(BlockKey{9, 9, 9}, ub, proj, dst));
+}
+
 TEST(BlockServerTest, ProjectValidatesInput) {
   BlockServer server;
   Client client(server.port());
