@@ -1,5 +1,6 @@
 // Microbenchmarks of the GF(2^8) region kernels and matrix primitives — the
-// ISA-L stand-in whose throughput underlies every coding figure.
+// ISA-L stand-in whose throughput underlies every coding figure — and of the
+// CRC-32 kernels that checksum every block the store moves.
 
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,7 @@
 #include "gf/backend.h"
 #include "gf/vect.h"
 #include "matrix/matrix.h"
+#include "util/crc32_internal.h"
 
 namespace {
 
@@ -112,6 +114,40 @@ void BM_MatrixInverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatrixInverse)->Arg(16)->Arg(60)->Arg(100);
+
+// CRC-32 kernel ablation on a page, a 192 KiB range and a whole 320 KiB
+// block (the fleet's block size): arg 0 picks the kernel (0 table,
+// 1 pclmul, 2 vpclmul), arg 1 the length.
+void BM_Crc32Kernel(benchmark::State& state) {
+  namespace kernels = carousel::util::internal;
+  struct Tier {
+    const char* name;
+    kernels::Crc32Kernel fn;
+    bool (*supported)();
+  };
+  static const Tier kTiers[] = {
+      {"table", kernels::crc32_table, [] { return true; }},
+      {"pclmul", kernels::crc32_pclmul, kernels::cpu_has_pclmul},
+      {"vpclmul", kernels::crc32_vpclmul, kernels::cpu_has_vpclmul},
+  };
+  const Tier& tier = kTiers[state.range(0)];
+  if (!tier.supported()) {
+    state.SkipWithError("CRC kernel unsupported on this CPU");
+    return;
+  }
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  auto src = carousel::bench::random_bytes(n);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = tier.fn(src.data(), n, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.SetLabel(tier.name);
+}
+BENCHMARK(BM_Crc32Kernel)
+    ->ArgsProduct({{0, 1, 2}, {4 << 10, 192 << 10, 320 << 10}});
 
 }  // namespace
 

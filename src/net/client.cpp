@@ -309,11 +309,14 @@ void Client::count_retry() {
 
 void Client::ping() { call(Op::kPing, {}); }
 
-void Client::put(const BlockKey& key, std::span<const std::uint8_t> bytes) {
+std::uint32_t Client::put(const BlockKey& key,
+                          std::span<const std::uint8_t> bytes) {
+  const std::uint32_t crc = util::crc32(bytes);
   Writer w;
   w.key(key);
-  w.u32(util::crc32(bytes));
+  w.u32(crc);
   call(Op::kPut, w.data(), {.corrupt_retryable = true}, bytes);
+  return crc;
 }
 
 std::optional<std::vector<std::uint8_t>> Client::get(const BlockKey& key) {

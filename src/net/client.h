@@ -72,7 +72,9 @@ class Client {
                   obs::MetricsRegistry* registry = nullptr);
 
   void ping();
-  void put(const BlockKey& key, std::span<const std::uint8_t> bytes);
+  /// Returns the CRC-32 of `bytes` that the request carried, so a caller
+  /// auditing the upload with verify() need not checksum the bytes again.
+  std::uint32_t put(const BlockKey& key, std::span<const std::uint8_t> bytes);
   /// nullopt when the server does not hold the block.
   std::optional<std::vector<std::uint8_t>> get(const BlockKey& key);
   std::optional<std::vector<std::uint8_t>> get_range(const BlockKey& key,

@@ -1265,7 +1265,7 @@ std::uint64_t CarouselStore::repair_block_impl(
   }
 
   // Re-upload and audit: PUT carries the block's CRC end to end, and VERIFY
-  // confirms the server now holds a copy matching what we rebuilt.  The
+  // confirms the server now holds a copy whose CRC is the one PUT sent.  The
   // intended home goes first; if it is dead (or fails its audit), the block
   // re-homes onto a placement-eligible candidate — the placement table only
   // moves once a candidate passes the audit, so a failure here leaves the
@@ -1276,7 +1276,6 @@ std::uint64_t CarouselStore::repair_block_impl(
   std::vector<std::size_t> uploads{target.value_or(home)};
   for (std::size_t c : placement_candidates(file_id, stripe, index))
     if (c != uploads.front()) uploads.push_back(c);
-  const std::uint32_t want_crc = util::crc32(rebuilt);
   for (std::size_t t : uploads) {
     check_budget(deadline, budget_exhausted_, "repair_block");
     if (t != home && meta_) {
@@ -1289,11 +1288,12 @@ std::uint64_t CarouselStore::repair_block_impl(
     }
     try {
       Lease c = lease(t);
-      c->put(key(file_id, stripe, index), rebuilt);
+      const std::uint32_t sent_crc =
+          c->put(key(file_id, stripe, index), rebuilt);
       std::uint32_t stored_crc = 0;
       if (c->verify(key(file_id, stripe, index), &stored_crc) !=
               BlockHealth::kOk ||
-          stored_crc != want_crc)
+          stored_crc != sent_crc)
         throw Error("repaired block failed its post-repair audit");
     } catch (const BadRequestError&) {
       if (t != home && meta_) {

@@ -48,7 +48,22 @@ std::uint32_t crc32_table(const std::uint8_t* p, std::size_t n,
 
 namespace {
 
-// memcpy-based unaligned load, as in gf/vect_simd.cpp: callers' buffers
+// Folding constants: the bit-reflected x^n mod P, shifted left one bit,
+// for P = 0x104C11DB7, as at the end of the Gopal et al. paper.  Carrying a
+// 128-bit remainder forward by D bits multiplies its two 64-bit halves by
+// x^(D+32) and x^(D-32) mod P; each pair below is {D+32, D-32}.
+// Fold by 2048 bits: four zmm accumulators of 256 bytes.
+constexpr std::int64_t kX2080 = 0x011542778a, kX2016 = 0x01322d1430;
+// Fold by 512 bits: four xmm lanes, or one zmm, of 64 bytes.
+constexpr std::int64_t kX544 = 0x0154442bd4, kX480 = 0x01c6e41596;
+// Fold by 128 bits; kX96 also takes 128 bits to 64.
+constexpr std::int64_t kX160 = 0x01751997d0, kX96 = 0x00ccaa009e;
+// 64 bits to 32.
+constexpr std::int64_t kX64 = 0x0163cd6124;
+// Barrett reduction: x^64 div P, and P, reflected.
+constexpr std::int64_t kMu = 0x01f7011641, kPoly = 0x01db710641;
+
+// memcpy-based unaligned loads, as in gf/vect_simd.cpp: callers' buffers
 // carry no alignment contract.
 __attribute__((target("pclmul,sse4.1"), always_inline)) inline __m128i
 load128(const std::uint8_t* p) {
@@ -58,8 +73,7 @@ load128(const std::uint8_t* p) {
 }
 
 // Carries the 128-bit remainder `x` forward by the distance whose pair of
-// reflected x^n mod P constants `k` holds, and adds the 16 bytes found
-// there.
+// constants `k` holds, and adds the 16 bytes found there.
 __attribute__((target("pclmul,sse4.1"), always_inline)) inline __m128i fold(
     __m128i x, __m128i k, __m128i next) {
   return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
@@ -67,18 +81,40 @@ __attribute__((target("pclmul,sse4.1"), always_inline)) inline __m128i fold(
                        next);
 }
 
-// Raw CRC register `c` advanced over n bytes, n >= 64 and a multiple of 16.
-// Constants are the bit-reflected ones from the end of the Gopal et al.
-// paper for P = 0x104C11DB7.
+// The end every folding kernel shares: carries the remainder `x` over the
+// n bytes left at p (a multiple of 16), then reduces it to the 32-bit raw
+// CRC register.  Inlined, so the vpclmul kernel runs it VEX-encoded instead
+// of switching to legacy SSE with dirty upper zmm state.
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline std::uint32_t
+finish(__m128i x, const std::uint8_t* p, std::size_t n) {
+  const __m128i k3k4 = _mm_set_epi64x(kX96, kX160);
+  const __m128i k5 = _mm_set_epi64x(0, kX64);
+  const __m128i poly = _mm_set_epi64x(kMu, kPoly);
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  for (; n >= 16; p += 16, n -= 16) x = fold(x, k3k4, load128(p));
+
+  // 128 -> 64 bits, then 64 -> 32 via k5.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                    _mm_clmulepi64_si128(x, k3k4, 0x10));
+  __m128i hi = _mm_srli_si128(x, 4);
+  x = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x, mask32), k5, 0x00),
+                    hi);
+
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+// Raw CRC register `c` advanced over n bytes, n >= 64 and a multiple of 16:
+// four 128-bit lanes, 64 bytes per iteration.
 __attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_blocks(
     std::uint32_t c, const std::uint8_t* p, std::size_t n) {
-  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);  // 512
-  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);  // 128
-  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
-  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);  // mu, P'
-  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const __m128i k1k2 = _mm_set_epi64x(kX480, kX544);
+  const __m128i k3k4 = _mm_set_epi64x(kX96, kX160);
 
-  // Four independent lanes cover 64 bytes; the register enters the first.
+  // The register enters the first lane.
   __m128i x1 =
       _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
   __m128i x2 = load128(p + 16);
@@ -93,42 +129,113 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_blocks(
     x4 = fold(x4, k1k2, load128(p + 48));
   }
 
-  // Collapse the lanes into one, then fold the remaining 16-byte blocks.
+  // Collapse the lanes, 16 bytes apart, into one.
   x1 = fold(x1, k3k4, x2);
   x1 = fold(x1, k3k4, x3);
   x1 = fold(x1, k3k4, x4);
-  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load128(p));
+  return finish(x1, p, n);
+}
 
-  // 128 -> 64 bits, then 64 -> 32 via k5.
-  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
-                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
-  __m128i hi = _mm_srli_si128(x1, 4);
-  x1 = _mm_xor_si128(
-      _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00), hi);
+#define CRC_VPCLMUL_TARGET "pclmul,sse4.1,avx512f,avx512vl,vpclmulqdq"
 
-  // Barrett reduction to the 32-bit remainder.
-  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
-  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
-  return static_cast<std::uint32_t>(
-      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+__attribute__((target(CRC_VPCLMUL_TARGET), always_inline)) inline __m512i
+load512(const std::uint8_t* p) {
+  __m512i v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// fold() on four 128-bit lanes at once; 0x96 is a three-way XOR.
+__attribute__((target(CRC_VPCLMUL_TARGET), always_inline)) inline __m512i
+fold512(__m512i x, __m512i k, __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), next,
+                                   0x96);
+}
+
+// 128-bit lane I of x.  The zero-masked form, because GCC 12 warns about
+// the unmasked one's undefined pass-through operand.
+template <int I>
+__attribute__((target(CRC_VPCLMUL_TARGET), always_inline)) inline __m128i
+lane(__m512i x) {
+  return _mm512_maskz_extracti32x4_epi32(0xF, x, I);
+}
+
+// Raw CRC register `c` advanced over n bytes, n >= 256 and a multiple of 16:
+// four zmm accumulators of four 128-bit lanes each, 256 bytes per
+// iteration.
+__attribute__((target(CRC_VPCLMUL_TARGET))) std::uint32_t fold_blocks_512(
+    std::uint32_t c, const std::uint8_t* p, std::size_t n) {
+  const __m512i k2048 = _mm512_set4_epi64(kX2016, kX2080, kX2016, kX2080);
+  const __m512i k512 = _mm512_set4_epi64(kX480, kX544, kX480, kX544);
+  const __m128i k3k4 = _mm_set_epi64x(kX96, kX160);
+
+  // The register enters the first lane of the first accumulator.
+  __m512i x0 = _mm512_xor_si512(
+      load512(p), _mm512_zextsi128_si512(
+                      _mm_cvtsi32_si128(static_cast<int>(c))));
+  __m512i x1 = load512(p + 64);
+  __m512i x2 = load512(p + 128);
+  __m512i x3 = load512(p + 192);
+  p += 256;
+  n -= 256;
+  for (; n >= 256; p += 256, n -= 256) {
+    x0 = fold512(x0, k2048, load512(p));
+    x1 = fold512(x1, k2048, load512(p + 64));
+    x2 = fold512(x2, k2048, load512(p + 128));
+    x3 = fold512(x3, k2048, load512(p + 192));
+  }
+
+  // Collapse the accumulators, 64 bytes apart, into the last one, and fold
+  // any whole 64-byte blocks left into it.
+  x1 = fold512(x0, k512, x1);
+  x2 = fold512(x1, k512, x2);
+  x3 = fold512(x2, k512, x3);
+  for (; n >= 64; p += 64, n -= 64) x3 = fold512(x3, k512, load512(p));
+
+  // Collapse its four lanes, 16 bytes apart, into one.
+  __m128i x = lane<0>(x3);
+  x = fold(x, k3k4, lane<1>(x3));
+  x = fold(x, k3k4, lane<2>(x3));
+  x = fold(x, k3k4, lane<3>(x3));
+  return finish(x, p, n);
+}
+
+#undef CRC_VPCLMUL_TARGET
+
+using FoldFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                 std::size_t);
+
+// `fold` over the longest 16-byte multiple, the table loop over the rest.
+std::uint32_t fold_then_table(FoldFn fold, const std::uint8_t* p,
+                              std::size_t n, std::uint32_t seed) {
+  const std::size_t bulk = n & ~std::size_t{15};
+  return ~table_update(fold(~seed, p, bulk), p + bulk, n - bulk);
 }
 
 }  // namespace
 
 std::uint32_t crc32_pclmul(const std::uint8_t* p, std::size_t n,
                            std::uint32_t seed) {
-  std::uint32_t c = ~seed;
-  if (n >= 64) {
-    std::size_t bulk = n & ~std::size_t{15};
-    c = fold_blocks(c, p, bulk);
-    p += bulk;
-    n -= bulk;
-  }
-  return ~table_update(c, p, n);
+  if (n < 64) return crc32_table(p, n, seed);
+  return fold_then_table(fold_blocks, p, n, seed);
+}
+
+std::uint32_t crc32_vpclmul(const std::uint8_t* p, std::size_t n,
+                            std::uint32_t seed) {
+  if (n < 256) return crc32_pclmul(p, n, seed);
+  return fold_then_table(fold_blocks_512, p, n, seed);
 }
 
 bool cpu_has_pclmul() {
   return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+
+// libgcc sets the AVX-512 features only when the OS saves ZMM state.
+bool cpu_has_vpclmul() {
+  return cpu_has_pclmul() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("vpclmulqdq");
 }
 
 #else  // non-x86: the table loop is the only kernel.
@@ -137,16 +244,26 @@ std::uint32_t crc32_pclmul(const std::uint8_t* p, std::size_t n,
                            std::uint32_t seed) {
   return crc32_table(p, n, seed);
 }
+std::uint32_t crc32_vpclmul(const std::uint8_t* p, std::size_t n,
+                            std::uint32_t seed) {
+  return crc32_table(p, n, seed);
+}
 bool cpu_has_pclmul() { return false; }
+bool cpu_has_vpclmul() { return false; }
 
 #endif
+
+Crc32Kernel crc32_kernel() {
+  static const Crc32Kernel kernel = cpu_has_vpclmul() ? crc32_vpclmul
+                                    : cpu_has_pclmul() ? crc32_pclmul
+                                                       : crc32_table;
+  return kernel;
+}
 
 }  // namespace internal
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  static const bool pclmul = internal::cpu_has_pclmul();
-  return pclmul ? internal::crc32_pclmul(data.data(), data.size(), seed)
-                : internal::crc32_table(data.data(), data.size(), seed);
+  return internal::crc32_kernel()(data.data(), data.size(), seed);
 }
 
 namespace {

@@ -66,18 +66,11 @@ TEST(Socket, GatherSendKeepsPartOrderAcrossPartialWrites) {
   auto big = random_bytes(2 << 20, 2);
   auto tail = random_bytes(7, 3);
   std::vector<std::uint8_t> got(head.size() + big.size() + tail.size());
-  std::thread server([&] {
-    TcpConn c = listener.accept();
-    std::size_t off = 0;
-    while (off < got.size()) {
-      const std::size_t n = std::min<std::size_t>(4093, got.size() - off);
-      if (!c.recv_all(got.data() + off, n)) break;
-      off += n;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  });
+  // Connect before the reader starts: the kernel completes the handshake
+  // from the listen backlog, so a failed ASSERT here leaves no thread behind.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
+  TcpConn client(fd);
   const int sndbuf = 8 << 10;
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
   sockaddr_in addr{};
@@ -85,7 +78,32 @@ TEST(Socket, GatherSendKeepsPartOrderAcrossPartialWrites) {
   addr.sin_port = htons(listener.port());
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  TcpConn client(fd);
+  std::thread server([&] {
+    TcpConn c = listener.accept();
+    std::size_t off = 0;
+    try {
+      while (off < got.size()) {
+        const std::size_t n = std::min<std::size_t>(4093, got.size() - off);
+        if (!c.recv_all(got.data() + off, n)) break;
+        off += n;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    } catch (const Error&) {
+      // The sender gave up mid-chunk; its exception or `got` fails the test.
+    }
+  });
+  // On every exit, a send timeout's TimeoutError included: shut the client
+  // down so the reader sees EOF, and join it.  A joinable std::thread
+  // destroyed during unwinding would abort the whole binary instead of
+  // failing this one test.
+  struct JoinOnExit {
+    int fd;
+    std::thread& t;
+    ~JoinOnExit() {
+      ::shutdown(fd, SHUT_RDWR);
+      if (t.joinable()) t.join();
+    }
+  } join_on_exit{fd, server};
   client.set_io_timeout(std::chrono::milliseconds(50));
   client.send_all({head, {}, big, tail});
   server.join();

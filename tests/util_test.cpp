@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -79,12 +80,9 @@ TEST(ThreadPool, DestructorDrainsCleanly) {
 
 // ---- CRC-32 ---------------------------------------------------------------
 
-using CrcKernel = std::uint32_t (*)(const std::uint8_t*, std::size_t,
-                                    std::uint32_t);
-
 struct NamedKernel {
   const char* name;
-  CrcKernel fn;
+  internal::Crc32Kernel fn;
 };
 
 // Every kernel this CPU can run; the table loop is always among them.
@@ -92,6 +90,8 @@ std::vector<NamedKernel> supported_kernels() {
   std::vector<NamedKernel> out{{"table", internal::crc32_table}};
   if (internal::cpu_has_pclmul())
     out.push_back({"pclmul", internal::crc32_pclmul});
+  if (internal::cpu_has_vpclmul())
+    out.push_back({"vpclmul", internal::crc32_vpclmul});
   return out;
 }
 
@@ -143,6 +143,65 @@ TEST(Crc32, EveryKernelMatchesBitwiseReference) {
             << k.name << " len=" << len << " offset=" << offset;
     }
   }
+}
+
+// The CPU features the vpclmul kernel needs that this host lacks (as
+// __builtin_cpu_supports reports them, so AVX-512 state the OS does not
+// save counts as missing).
+std::string missing_wide_flags() {
+  std::string out;
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("pclmul")) out += " pclmul";
+  if (!__builtin_cpu_supports("sse4.1")) out += " sse4.1";
+  if (!__builtin_cpu_supports("avx512f")) out += " avx512f";
+  if (!__builtin_cpu_supports("avx512vl")) out += " avx512vl";
+  if (!__builtin_cpu_supports("vpclmulqdq")) out += " vpclmulqdq";
+#else
+  out = " x86-64";
+#endif
+  return out;
+}
+
+// Checks every kernel on the last `len` bytes of a fresh allocation, so
+// ASan sees any load that runs past the input's end.
+void expect_kernels_match_bitwise(const std::vector<NamedKernel>& kernels,
+                                  const std::vector<std::uint8_t>& pool,
+                                  std::size_t len, std::uint32_t seed) {
+  std::vector<std::uint8_t> buf(pool.begin(), pool.begin() + len);
+  const std::uint32_t want = crc32_bitwise(buf.data(), len, seed);
+  for (const auto& k : kernels)
+    ASSERT_EQ(k.fn(buf.data(), len, seed), want) << k.name << " len=" << len;
+}
+
+TEST(Crc32, WideKernelTailsAndBlockSizes) {
+  // 256·m + t bytes for every tail t < 256 up to 8 KiB: the 256-byte
+  // four-accumulator loop, the 64-byte folds after it, the 16-byte folds
+  // and the table tail all run at every count.  Then the block sizes the
+  // store checksums: a 192 KiB range and a whole 320 KiB block.
+  if (!internal::cpu_has_vpclmul())
+    GTEST_SKIP() << "vpclmul kernel not run; missing:" << missing_wide_flags();
+  const auto kernels = supported_kernels();
+  const auto pool = random_buffer(320 << 10, 7);
+  std::mt19937 rng(8);
+  for (std::size_t len = 256; len <= (8 << 10); ++len)
+    ASSERT_NO_FATAL_FAILURE(expect_kernels_match_bitwise(
+        kernels, pool, len, static_cast<std::uint32_t>(rng())));
+  for (std::size_t len : {std::size_t{192} << 10, std::size_t{320} << 10})
+    for (std::uint32_t seed : {0u, static_cast<std::uint32_t>(rng())})
+      ASSERT_NO_FATAL_FAILURE(
+          expect_kernels_match_bitwise(kernels, pool, len, seed));
+}
+
+TEST(Crc32, DispatchesToWidestSupportedKernel) {
+  const internal::Crc32Kernel want =
+      internal::cpu_has_vpclmul()  ? internal::crc32_vpclmul
+      : internal::cpu_has_pclmul() ? internal::crc32_pclmul
+                                   : internal::crc32_table;
+  EXPECT_EQ(internal::crc32_kernel(), want);
+  EXPECT_EQ(supported_kernels().back().fn, want);
+  if (!internal::cpu_has_vpclmul())
+    GTEST_SKIP() << "dispatch resolved to " << supported_kernels().back().name
+                 << "; vpclmul missing:" << missing_wide_flags();
 }
 
 TEST(Crc32, ChainsAtEverySplitPoint) {

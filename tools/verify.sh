@@ -49,7 +49,8 @@
 #      writes BENCH_meta_recovery.json);
 #  10. the networked-throughput bench (upload, read, degraded read, repair
 #      on a 12-server loopback fleet), as CI's bench-smoke job runs it: it
-#      must run to completion;
+#      must run to completion; then the GF and CRC-32 kernel
+#      microbenchmarks, briefly, as bench-smoke runs them;
 #  11. when clang++ is installed: the whole tree rebuilt with Clang Thread
 #      Safety Analysis promoted to errors (CAROUSEL_THREAD_SAFETY=ON),
 #      verifying every GUARDED_BY/REQUIRES/EXCLUDES annotation from
@@ -125,6 +126,9 @@ cmake --build build -j --target bench_meta_recovery
 
 cmake --build build -j --target bench_net_throughput
 (cd build/bench && ./bench_net_throughput)
+
+cmake --build build -j --target bench_gf_kernels
+(cd build/bench && ./bench_gf_kernels --benchmark_min_time=0.01)
 
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
